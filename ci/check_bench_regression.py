@@ -38,10 +38,15 @@ that path is exactly what this gate should catch. Like any stage, they
 never fail on their first appearance (no baseline entry to compare
 against).
 
-Stages present on only one side (a newly added or retired bench stage) are
-reported but never fail the gate. A missing or unreadable baseline file is
-a graceful skip (exit 0): the first run on a fresh repository has nothing
-to compare against.
+A stage present only on the current side (a newly added bench stage) is
+reported but never fails the gate. A *gated* baseline stage missing from the
+current run fails it — a stage that silently stops running is a regression
+the gate cannot otherwise see — unless its id is on the explicit
+``RETIRED`` list below, which records stages removed on purpose (with the
+change that removed them). A missing ungated (``"modeled"``) baseline stage
+is only reported. A missing or unreadable baseline file is a graceful skip
+(exit 0): the first run on a fresh repository has nothing to compare
+against.
 
 Wall-clock on shared CI runners is noisy; the 20% margin plus the
 multi-rep sweep inside each stage keeps false positives rare while still
@@ -51,6 +56,21 @@ accidentally serialized fan-out, a quadratic scan sneaking back in).
 
 import json
 import sys
+
+# Bench stages deleted on purpose. A gated baseline stage that vanishes
+# from the current run fails the gate unless its id is listed here.
+RETIRED = {
+    # Removed with the banded scan mode (the scan family collapsed to the
+    # naive oracle plus one persistent grid).
+    "serial-banded",
+    "parallel-banded",
+}
+
+
+def is_gated(timing, gate):
+    """An explicit per-stage "gate" boolean wins; otherwise everything but
+    "modeled" is gated."""
+    return gate if isinstance(gate, bool) else timing != "modeled"
 
 
 def load_stages(path):
@@ -87,14 +107,18 @@ def main(argv):
             print(f"  {stage_id:<32} new stage ({ms:.1f} ms), no baseline")
             continue
         if stage_id not in current:
-            ms, _, _ = baseline[stage_id]
-            print(f"  {stage_id:<32} retired stage (was {ms:.1f} ms)")
+            ms, timing, gate = baseline[stage_id]
+            if stage_id in RETIRED:
+                print(f"  {stage_id:<32} retired stage (was {ms:.1f} ms)")
+            elif is_gated(timing, gate):
+                print(f"  {stage_id:<32} MISSING gated stage (was {ms:.1f} ms)")
+                failed.append(stage_id)
+            else:
+                print(f"  {stage_id:<32} missing ungated stage (was {ms:.1f} ms)")
             continue
         old, _, _ = baseline[stage_id]
         new, timing, gate = current[stage_id]
-        # An explicit per-stage "gate" boolean wins; otherwise fall back to
-        # the timing heuristic (everything but "modeled" is gated).
-        gated = gate if isinstance(gate, bool) else timing != "modeled"
+        gated = is_gated(timing, gate)
         ratio = new / old if old > 0 else float("inf")
         if not gated:
             verdict = "not gated (report-only)"
@@ -107,7 +131,10 @@ def main(argv):
             failed.append(stage_id)
 
     if failed:
-        print(f"\n{len(failed)} stage(s) regressed beyond {threshold:.2f}x: {', '.join(failed)}")
+        print(
+            f"\n{len(failed)} stage(s) regressed beyond {threshold:.2f}x "
+            f"or went missing: {', '.join(failed)}"
+        )
         return 1
     print(f"\nall gated stages within the {threshold:.2f}x budget")
     return 0

@@ -8,18 +8,16 @@
 //! The figures/experiments pipeline is a *simulator*: its outputs are
 //! modeled times, but producing them costs real host time. This binary
 //! times the standard sweep (every paper platform × both tasks) through
-//! six host configurations —
+//! four host configurations —
 //!
 //! | stage | scan | harness |
 //! |---|---|---|
 //! | `serial-naive`    | naive O(n²) scan        | 1 thread (the seed code path) |
-//! | `serial-banded`   | altitude-banded         | 1 thread |
 //! | `serial-grid`     | altitude bands × spatial grid | 1 thread |
 //! | `parallel-naive`  | naive O(n²) scan        | `--jobs` threads |
-//! | `parallel-banded` | altitude-banded         | `--jobs` threads |
 //! | `parallel-grid`   | altitude bands × spatial grid | `--jobs` threads |
 //!
-//! — verifies that all six produce element-identical series (the
+//! — verifies that all four produce element-identical series (the
 //! determinism contract: neither knob may change a single output value),
 //! and writes `BENCH_sweep.json` with per-stage wall-clock times and
 //! speedups over the `serial-naive` baseline.
@@ -41,15 +39,15 @@
 //! the modeled sweep stages (whose wall time is simulator overhead, not a
 //! guarded hot path) as report-only.
 //!
-//! A fourth section times the **incremental rescan engine**
+//! A fourth section times the **persistent grid engine**
 //! (`incremental-detect-muP` stages, one per move rate): consecutive
 //! rescans of one fleet in which a fraction μ of the aircraft drift
-//! between cycles, run side by side through a per-cycle full-rebuild
-//! serial-grid detect and a persistent [`IncrementalEngine`]. The two
-//! paths must stay byte-identical every cycle; each stage reports both
-//! wall-clocks, the speedup over the full rebuild, and the engine's
-//! dirty-cell hit-rate counters (`cells_dirty`, `pairs_rescanned`,
-//! `pairs_replayed`).
+//! between cycles, run side by side through a per-cycle stateless grid
+//! build (the full-rebuild baseline) and a persistent
+//! [`IncrementalEngine`]. Both must stay byte-identical to the naive
+//! oracle every cycle; each stage reports both wall-clocks, the speedup
+//! over the full rebuild, and the engine's dirty-cell hit-rate counters
+//! (`cells_dirty`, `pairs_rescanned`, `pairs_replayed`).
 //!
 //! A fifth section times the **scenario corpus** (`scenario-<slug>-detect`
 //! stages, one per catalog traffic shape — see `atm_core::scenario`): each
@@ -64,7 +62,7 @@
 //! stages): full major cycles through [`atm_core::AtmEngine`] on the
 //! measured sequential host, with a fraction μ of the fleet re-positioned
 //! between cycles through [`Airfield::apply_updates`] — the live-server
-//! hot loop. Each stage steps an incremental-scan engine and a grid-scan
+//! hot loop. Each stage steps a grid-scan engine and a naive-scan oracle
 //! engine on the same ingest batches and requires identical fleet hashes,
 //! conflict and resolution counts every cycle (the dirty-cell ingest
 //! contract). Gated: this is the path the `atm-server` cycle loop runs.
@@ -252,24 +250,25 @@ fn run_measured_stage(base: &SweepConfig, entry: &RosterEntry) -> (Vec<f64>, Vec
     (per_point_ms, fleets)
 }
 
-/// Outcome of one incremental-vs-full-rebuild stage at one move rate.
+/// Outcome of one persistent-vs-full-rebuild stage at one move rate.
 struct IncrementalStage {
-    /// Total wall-clock of the per-cycle full-rebuild serial-grid detects.
+    /// Total wall-clock of the per-cycle stateless serial-grid detects.
     serial_ms: f64,
-    /// Total wall-clock of the persistent incremental engine's rescans.
+    /// Total wall-clock of the persistent engine's rescans.
     inc_ms: f64,
     /// Engine counters accumulated over every cycle.
     activity: ScanActivity,
-    /// Whether both paths stayed byte-identical (fleet and stats) on
-    /// every cycle.
+    /// Whether both paths stayed byte-identical (fleet and stats) to the
+    /// naive oracle on every cycle.
     identical: bool,
 }
 
-/// One timed pass of the incremental rescan engine at move rate `mu`:
+/// One timed pass of the persistent grid engine at move rate `mu`:
 /// `cycles` consecutive rescans of one fleet, with `mu * n` randomly
 /// chosen aircraft drifting between cycles (the same displacements
-/// applied to both copies), comparing a per-cycle full-rebuild
-/// serial-grid detect against one persistent [`IncrementalEngine`].
+/// applied to every copy), comparing a per-cycle stateless serial-grid
+/// detect against one persistent [`IncrementalEngine`], both checked
+/// against an untimed naive detect.
 ///
 /// Runs at the sweep's *midpoint* n, not its largest: the engine's win
 /// comes from replaying clear first scans, and at the densest sweep
@@ -281,11 +280,12 @@ fn run_incremental_stage(base: &SweepConfig, n: usize, mu: f64, cycles: usize) -
         scan: ScanMode::Grid,
         ..AtmConfig::with_seed(base.seed)
     };
-    let inc_cfg = AtmConfig {
-        scan: ScanMode::Incremental,
+    let naive_cfg = AtmConfig {
+        scan: ScanMode::Naive,
         ..grid_cfg.clone()
     };
     let field = Airfield::new(n, grid_cfg.clone());
+    let mut fleet_naive = field.aircraft.clone();
     let mut fleet_full = field.aircraft.clone();
     let mut fleet_inc = field.aircraft;
     let mut engine = IncrementalEngine::new();
@@ -304,20 +304,24 @@ fn run_incremental_stage(base: &SweepConfig, n: usize, mu: f64, cycles: usize) -
         out.serial_ms += start.elapsed().as_secs_f64() * 1_000.0;
 
         let start = Instant::now();
-        let inc_stats = engine.detect_resolve(&mut fleet_inc, &inc_cfg, &mut NullSink);
+        let inc_stats = engine.detect_resolve(&mut fleet_inc, &grid_cfg, &mut NullSink);
         out.inc_ms += start.elapsed().as_secs_f64() * 1_000.0;
 
-        out.identical &= fleet_full == fleet_inc && full_stats == inc_stats;
+        let naive_stats = detect_resolve_all(&mut fleet_naive, &naive_cfg, &mut NullSink);
+        out.identical &= fleet_naive == fleet_full
+            && fleet_naive == fleet_inc
+            && naive_stats == full_stats
+            && naive_stats == inc_stats;
 
-        // Drift: identical displacements applied to both copies.
+        // Drift: identical displacements applied to every copy.
         for _ in 0..moved_per_cycle {
             let j = (rng.next_u64() % n as u64) as usize;
             let dx = rng.range_f32_inclusive(-8.0, 8.0);
             let dy = rng.range_f32_inclusive(-8.0, 8.0);
-            fleet_full[j].x += dx;
-            fleet_full[j].y += dy;
-            fleet_inc[j].x += dx;
-            fleet_inc[j].y += dy;
+            for fleet in [&mut fleet_naive, &mut fleet_full, &mut fleet_inc] {
+                fleet[j].x += dx;
+                fleet[j].y += dy;
+            }
         }
     }
     out.activity = *engine.total_activity();
@@ -326,11 +330,11 @@ fn run_incremental_stage(base: &SweepConfig, n: usize, mu: f64, cycles: usize) -
 
 /// Outcome of one resumable-engine stepping stage at one ingest rate.
 struct EngineStepStage {
-    /// Total wall-clock of the incremental-scan engine's major cycles.
-    inc_ms: f64,
     /// Total wall-clock of the grid-scan engine's major cycles.
     grid_ms: f64,
-    /// Conflicts observed over the run (from the incremental engine).
+    /// Total wall-clock of the naive-scan oracle engine's major cycles.
+    naive_ms: f64,
+    /// Conflicts observed over the run (from the grid engine).
     conflicts: u64,
     /// Whether both engines agreed on fleet hash, conflicts and
     /// resolutions every cycle.
@@ -339,11 +343,11 @@ struct EngineStepStage {
 
 /// One timed pass of the resumable engine at ingest rate `mu`: `cycles`
 /// major cycles through two [`AtmEngine`]s on the measured sequential
-/// host — one incremental scan, one grid scan — with `mu * n` aircraft
+/// host — one grid scan, one naive scan — with `mu * n` aircraft
 /// re-positioned via [`Airfield::apply_updates`] before every cycle (the
 /// same batches fed to both). External ingest mutates aircraft behind the
-/// incremental engine's back, so cross-checking against the full grid
-/// rebuild exercises exactly the dirty-cell bookkeeping the live server
+/// persistent grid engine's back, so cross-checking against the naive
+/// oracle exercises exactly the dirty-cell bookkeeping the live server
 /// relies on.
 fn run_engine_step_stage(seed: u64, n: usize, mu: f64, cycles: usize) -> EngineStepStage {
     let mk = |scan: ScanMode| {
@@ -356,14 +360,14 @@ fn run_engine_step_stage(seed: u64, n: usize, mu: f64, cycles: usize) -> EngineS
         engine.begin_run();
         engine
     };
-    let mut inc = mk(ScanMode::Incremental);
     let mut grid = mk(ScanMode::Grid);
+    let mut naive = mk(ScanMode::Naive);
     let mut rng = SimRng::seed_from_u64(seed ^ 0x16E57);
     let moved = (mu * n as f64).round() as usize;
 
     let mut out = EngineStepStage {
-        inc_ms: 0.0,
         grid_ms: 0.0,
+        naive_ms: 0.0,
         conflicts: 0,
         identical: true,
     };
@@ -382,21 +386,21 @@ fn run_engine_step_stage(seed: u64, n: usize, mu: f64, cycles: usize) -> EngineS
                 }
             })
             .collect();
-        inc.apply_updates(&updates);
         grid.apply_updates(&updates);
-
-        let start = Instant::now();
-        let ri = inc.step_major_cycle();
-        out.inc_ms += start.elapsed().as_secs_f64() * 1_000.0;
+        naive.apply_updates(&updates);
 
         let start = Instant::now();
         let rg = grid.step_major_cycle();
         out.grid_ms += start.elapsed().as_secs_f64() * 1_000.0;
 
-        out.conflicts += ri.conflicts;
-        out.identical &= ri.fleet_hash == rg.fleet_hash
-            && ri.conflicts == rg.conflicts
-            && ri.resolutions == rg.resolutions;
+        let start = Instant::now();
+        let rn = naive.step_major_cycle();
+        out.naive_ms += start.elapsed().as_secs_f64() * 1_000.0;
+
+        out.conflicts += rg.conflicts;
+        out.identical &= rg.fleet_hash == rn.fleet_hash
+            && rg.conflicts == rn.conflicts
+            && rg.resolutions == rn.resolutions;
     }
     out
 }
@@ -453,12 +457,10 @@ fn main() {
         harness.jobs()
     );
 
-    let stages: [(&str, ScanMode, &Harness); 6] = [
+    let stages: [(&str, ScanMode, &Harness); 4] = [
         ("serial-naive", ScanMode::Naive, &Harness::serial()),
-        ("serial-banded", ScanMode::Banded, &Harness::serial()),
         ("serial-grid", ScanMode::Grid, &Harness::serial()),
         ("parallel-naive", ScanMode::Naive, &harness),
-        ("parallel-banded", ScanMode::Banded, &harness),
         ("parallel-grid", ScanMode::Grid, &harness),
     ];
 
@@ -543,8 +545,8 @@ fn main() {
     let multicore_speedup = seq_total / measured_ms[1].iter().sum::<f64>().max(1e-9);
     println!("  multicore speedup over sequential-host: {multicore_speedup:.2}x");
 
-    // Incremental rescan engine: consecutive rescans at a range of
-    // per-cycle move rates, persistent engine vs per-cycle full rebuild.
+    // Persistent grid engine: consecutive rescans at a range of per-cycle
+    // move rates, persistent engine vs per-cycle stateless grid build.
     let move_rates = [0.0, 0.01, 0.05, 0.20, 1.0];
     let inc_cycles = if opts.quick { 8 } else { 16 };
     let inc_n = base.ns.get(base.ns.len() / 2).copied().unwrap_or(1_000);
@@ -572,7 +574,7 @@ fn main() {
         incremental_stages.push((mu, stage, speedup));
     }
     if !incremental_identical {
-        eprintln!("RESULT MISMATCH: the incremental engine diverged from the grid full rebuild");
+        eprintln!("RESULT MISMATCH: a grid rescan diverged from the naive oracle");
     }
     println!("  best incremental speedup at move rate <= 5%: {low_move_speedup:.2}x");
 
@@ -627,32 +629,31 @@ fn main() {
     }
 
     // Resumable engine: full major cycles with live ingest between them —
-    // the atm-server cycle loop without the socket. Incremental and grid
-    // scans must agree on every cycle's fleet hash and conflict counts.
+    // the atm-server cycle loop without the socket. The grid engine must
+    // agree with the naive oracle on every cycle's fleet hash and conflict
+    // counts.
     let engine_rates = [0.01, 0.20];
     let engine_n = if opts.quick { 400 } else { 800 };
     let engine_cycles = if opts.quick { 2 } else { 4 };
-    println!(
-        "  resumable engine ({engine_cycles} major cycles at n={engine_n}, incremental vs grid):"
-    );
+    println!("  resumable engine ({engine_cycles} major cycles at n={engine_n}, grid vs naive):");
     let mut engine_stages = Vec::new();
     let mut engine_identical = true;
     for &mu in &engine_rates {
         let stage = run_engine_step_stage(base.seed, engine_n, mu, engine_cycles);
-        let speedup = stage.grid_ms / stage.inc_ms.max(1e-9);
+        let speedup = stage.naive_ms / stage.grid_ms.max(1e-9);
         println!(
-            "  engine-step-mu{:<4} {:>10.1} ms vs {:>10.1} ms grid-scan engine \
+            "  engine-step-mu{:<4} {:>10.1} ms vs {:>10.1} ms naive-scan engine \
              ({speedup:.2}x, {} conflicts)",
             (mu * 100.0).round() as u64,
-            stage.inc_ms,
             stage.grid_ms,
+            stage.naive_ms,
             stage.conflicts
         );
         engine_identical &= stage.identical;
         engine_stages.push((mu, stage, speedup));
     }
     if !engine_identical {
-        eprintln!("RESULT MISMATCH: ingest-fed incremental engine diverged from the grid engine");
+        eprintln!("RESULT MISMATCH: ingest-fed grid engine diverged from the naive engine");
     }
 
     // Server ingest path: parse + decode + apply, no socket.
@@ -704,11 +705,9 @@ fn main() {
         eprintln!("RESULT MISMATCH: a stage diverged from the serial-naive baseline");
     }
     let baseline_ms = wall_ms[0];
-    let headline = baseline_ms / wall_ms[5].max(1e-9);
-    let grid_vs_banded = wall_ms[4] / wall_ms[5].max(1e-9);
+    let headline = baseline_ms / wall_ms[3].max(1e-9);
     println!(
-        "  identical results: {identical}; parallel-grid speedup over serial-naive: {headline:.2}x \
-         (over parallel-banded: {grid_vs_banded:.2}x)"
+        "  identical results: {identical}; parallel-grid speedup over serial-naive: {headline:.2}x"
     );
 
     let mut stage_json: Vec<JsonValue> = stages
@@ -761,7 +760,7 @@ fn main() {
                     format!("incremental-detect-mu{}", (mu * 100.0).round() as u64),
                 )
                 .set("timing", "measured")
-                .set("scan", "incremental")
+                .set("scan", "grid")
                 .set("move_rate", *mu)
                 .set("cycles", inc_cycles)
                 .set("n", inc_n)
@@ -798,13 +797,13 @@ fn main() {
                 )
                 .set("timing", "measured")
                 .set("gate", true)
-                .set("scan", "incremental")
+                .set("scan", "grid")
                 .set("ingest_rate", *mu)
                 .set("cycles", engine_cycles)
                 .set("n", engine_n)
-                .set("wall_ms", stage.inc_ms)
-                .set("grid_engine_wall_ms", stage.grid_ms)
-                .set("speedup_vs_grid_engine", *speedup)
+                .set("wall_ms", stage.grid_ms)
+                .set("naive_engine_wall_ms", stage.naive_ms)
+                .set("speedup_vs_naive_engine", *speedup)
                 .set("conflicts", stage.conflicts),
         );
     }
@@ -848,7 +847,6 @@ fn main() {
         .set("stages", JsonValue::Arr(stage_json))
         .set("identical_results", identical)
         .set("speedup_parallel_grid_vs_serial_naive", headline)
-        .set("speedup_parallel_grid_vs_parallel_banded", grid_vs_banded)
         .set("speedup_shards4_vs_shards1_largest_n", largest_speedup)
         .set("speedup_multicore_vs_sequential_host", multicore_speedup)
         .set(

@@ -17,8 +17,8 @@
 //!
 //! `--jobs N` fans the independent sweep/experiment points across N worker
 //! threads (default: the host's available parallelism; `--jobs 1` forces
-//! the serial code path). `--scan naive|banded|grid|incremental` selects
-//! the conflict-scan implementation. Neither knob changes any output byte:
+//! the serial code path). `--scan naive|grid` selects the conflict-scan
+//! implementation. Neither knob changes any output byte:
 //! results are slotted in serial order and every scan books identical
 //! modeled costs — only wall-clock time differs. CI diffs the artifacts
 //! across the knob matrix.
@@ -139,20 +139,12 @@ fn parse_args() -> Options {
                 }));
             }
             "--scan" => {
-                let v = value_of(
-                    &mut args,
-                    "--scan",
-                    "'naive', 'banded', 'grid' or 'incremental'",
-                );
+                let v = value_of(&mut args, "--scan", "'naive' or 'grid'");
                 opts.scan = match v.as_str() {
                     "naive" => ScanMode::Naive,
-                    "banded" => ScanMode::Banded,
                     "grid" => ScanMode::Grid,
-                    "incremental" => ScanMode::Incremental,
                     other => {
-                        eprintln!(
-                            "--scan needs 'naive', 'banded', 'grid' or 'incremental', got '{other}'"
-                        );
+                        eprintln!("--scan needs 'naive' or 'grid', got '{other}'");
                         std::process::exit(2);
                     }
                 };
@@ -173,7 +165,7 @@ fn parse_args() -> Options {
                     "usage: figures [--all] [--fig N]... \
                      [--exp deadlines|determinism|ablations|normalized|measured]... \
                      [--scenario SLUG|all]... \
-                     [--quick] [--stream] [--jobs N] [--scan naive|banded|grid|incremental] \
+                     [--quick] [--stream] [--jobs N] [--scan naive|grid] \
                      [--shards N] \
                      [--out DIR] [--trace PATH] [--metrics PATH]\n\
                      (--exp measured emits host wall-clock and is not part of --all;\n\

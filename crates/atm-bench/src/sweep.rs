@@ -292,10 +292,8 @@ mod tests {
         let titan = titan();
         for task in [Task::Track, Task::DetectResolve] {
             let naive = measure_point_scan(&titan, task, 500, 7, 2, ScanMode::Naive);
-            for scan in [ScanMode::Banded, ScanMode::Grid, ScanMode::Incremental] {
-                let fast = measure_point_scan(&titan, task, 500, 7, 2, scan);
-                assert_eq!(naive, fast, "task {task:?}, scan {scan:?}");
-            }
+            let grid = measure_point_scan(&titan, task, 500, 7, 2, ScanMode::Grid);
+            assert_eq!(naive, grid, "task {task:?}");
         }
     }
 

@@ -14,8 +14,8 @@
 //!   what parallelizes: [`multicore::MimdPool::map_chunks`] splits the
 //!   candidate space into contiguous chunks in deterministic order, each
 //!   chunk runs the unified scan-kernel gates
-//!   ([`crate::detect::scan_pair_range`] /
-//!   [`crate::detect::scan_candidate_list`]), and the partial results fold
+//!   ([`crate::detect::scan_candidates`] over an index range of the fleet
+//!   or a slice of the grid engine's candidates), and the partial results fold
 //!   left-to-right with [`ScanResult::merge`] — exact because the
 //!   selection is a lexicographic minimum. The mutation cascade itself is
 //!   shared code ([`check_collision_path_scanned`]).
@@ -31,8 +31,7 @@ use crate::backends::seq::record_activity;
 use crate::backends::{AtmBackend, BackendInfo, PlatformId, TimingKind};
 use crate::config::{AtmConfig, ScanMode};
 use crate::detect::{
-    check_collision_path_scanned, scan_candidate_list, scan_pair_range, DetectStats,
-    IncrementalEngine, ScanIndex, ScanResult,
+    check_collision_path_scanned, scan_candidates, DetectStats, IncrementalEngine, ScanResult,
 };
 use crate::terrain::{check_terrain, TerrainGrid, TerrainTaskConfig};
 use crate::track::{any_unmatched, TrackStats};
@@ -50,15 +49,12 @@ const PAR_CUTOFF: usize = 1024;
 
 /// ATM on a deterministic chunked thread pool (measured timing).
 ///
-/// Under [`ScanMode::Incremental`] a persistent [`IncrementalEngine`]
-/// carries the dirty-cell grid and replay cache across `detect_resolve`
-/// calls; live scans still fan over the pool in deterministic chunks.
+/// Under [`ScanMode::Grid`] a persistent [`IncrementalEngine`] carries the
+/// dirty-cell grid and replay cache across `detect_resolve` calls; live
+/// scans still fan over the pool in deterministic chunks.
 pub struct MulticoreBackend {
     pool: MimdPool,
     engine: IncrementalEngine,
-    /// Scan index kept across calls and refreshed in place
-    /// ([`ScanIndex::refresh`]), reusing its bucket/offset allocations.
-    index: Option<ScanIndex>,
     recorder: Option<Recorder>,
     device: String,
     last_track: Option<TrackStats>,
@@ -85,7 +81,6 @@ impl MulticoreBackend {
         MulticoreBackend {
             pool,
             engine: IncrementalEngine::new(),
-            index: None,
             recorder: None,
             device,
             last_track: None,
@@ -109,38 +104,34 @@ impl MulticoreBackend {
     }
 
     /// One scan of aircraft `i`, chunked over the pool and folded in chunk
-    /// order. For pruned indexes the caller pre-collects the enumeration
-    /// into `cands` (valid for every rotation rescan of `i`: candidate sets
-    /// depend only on positions and altitudes, which are frozen).
+    /// order: over the whole fleet when `cands` is `None` (the naive scan),
+    /// else over the grid engine's candidate superset (valid for every
+    /// rotation rescan of `i`: candidate sets depend only on positions and
+    /// altitudes, which are frozen).
     fn pooled_scan(
         &self,
         aircraft: &[Aircraft],
-        naive: bool,
-        cands: &[u32],
+        cands: Option<&[u32]>,
         i: usize,
         vel: (f32, f32),
         cfg: &AtmConfig,
     ) -> ScanResult {
-        if naive {
-            let n = aircraft.len();
-            if n < PAR_CUTOFF || self.pool.threads() == 1 {
-                return scan_pair_range(aircraft, i, vel, cfg, 0..n);
+        let n = aircraft.len();
+        let scan = |range: std::ops::Range<usize>| match cands {
+            None => scan_candidates(aircraft, None, i, n, vel, cfg, range, &mut NullSink),
+            Some(c) => {
+                let chunk = c[range].iter().map(|&p| p as usize);
+                scan_candidates(aircraft, None, i, n, vel, cfg, chunk, &mut NullSink)
             }
-            self.pool
-                .map_chunks(n, |_, range| scan_pair_range(aircraft, i, vel, cfg, range))
-                .into_iter()
-                .fold(ScanResult::CLEAR, ScanResult::merge)
-        } else {
-            if cands.len() < PAR_CUTOFF || self.pool.threads() == 1 {
-                return scan_candidate_list(aircraft, i, vel, cfg, cands);
-            }
-            self.pool
-                .map_chunks(cands.len(), |_, range| {
-                    scan_candidate_list(aircraft, i, vel, cfg, &cands[range])
-                })
-                .into_iter()
-                .fold(ScanResult::CLEAR, ScanResult::merge)
+        };
+        let len = cands.map_or(n, <[u32]>::len);
+        if len < PAR_CUTOFF || self.pool.threads() == 1 {
+            return scan(0..len);
         }
+        self.pool
+            .map_chunks(len, |_, range| scan(range))
+            .into_iter()
+            .fold(ScanResult::CLEAR, ScanResult::merge)
     }
 }
 
@@ -284,47 +275,32 @@ impl AtmBackend for MulticoreBackend {
 
     fn detect_resolve(&mut self, aircraft: &mut [Aircraft], cfg: &AtmConfig) -> SimDuration {
         let sw = Stopwatch::start();
-        if cfg.scan == ScanMode::Incremental {
+        let total = if cfg.scan == ScanMode::Grid {
             // The engine enumerates candidates and replays cached clean
             // scans; live scans still chunk over the pool.
             let mut engine = std::mem::take(&mut self.engine);
             let total = engine.detect_resolve_unbooked(
                 aircraft,
                 cfg,
-                |ac, i, vel, cands| self.pooled_scan(ac, false, cands, i, vel, cfg),
+                |ac, i, vel, cands| self.pooled_scan(ac, Some(cands), i, vel, cfg),
                 |_, _| {},
             );
             record_activity(&self.recorder, engine.activity());
             self.engine = engine;
-            self.last_detect = Some(total);
-            return sw.elapsed();
-        }
-        match &mut self.index {
-            Some(ix) => ix.refresh(aircraft, cfg),
-            none => *none = Some(ScanIndex::for_config(aircraft, cfg)),
-        }
-        let index = self.index.as_ref().expect("index populated above");
-        let naive = matches!(index, ScanIndex::Naive);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut total = DetectStats::default();
-        for i in 0..aircraft.len() {
-            if !naive {
-                cands.clear();
-                cands.extend(
-                    index
-                        .candidates(i, &aircraft[i], aircraft.len())
-                        .map(|p| p as u32),
-                );
+            total
+        } else {
+            let mut total = DetectStats::default();
+            for i in 0..aircraft.len() {
+                total.absorb(&check_collision_path_scanned(
+                    aircraft,
+                    i,
+                    cfg,
+                    &mut NullSink,
+                    |ac, i, vel, _sink| self.pooled_scan(ac, None, i, vel, cfg),
+                ));
             }
-            let cands = &cands;
-            total.absorb(&check_collision_path_scanned(
-                aircraft,
-                i,
-                cfg,
-                &mut NullSink,
-                |ac, i, vel, _sink| self.pooled_scan(ac, naive, cands, i, vel, cfg),
-            ));
-        }
+            total
+        };
         self.last_detect = Some(total);
         sw.elapsed()
     }

@@ -10,8 +10,8 @@ use sim_clock::{NullSink, SimDuration, Stopwatch};
 use telemetry::Recorder;
 
 /// Emit one rescan's dirty-cell hit-rate counters ([`ScanActivity`]) into
-/// a telemetry recorder. Counters only fire on incremental runs, so
-/// default-config artifact bytes are untouched.
+/// a telemetry recorder. Counters only fire on the measured backends' grid
+/// runs, which never feed the byte-stable artifacts.
 pub(crate) fn record_activity(recorder: &Option<Recorder>, act: &ScanActivity) {
     let Some(rec) = recorder else {
         return;
@@ -26,10 +26,10 @@ pub(crate) fn record_activity(recorder: &Option<Recorder>, act: &ScanActivity) {
 /// define the expected output the deterministic simulated backends must
 /// reproduce bit-for-bit.
 ///
-/// Under [`ScanMode::Incremental`] the backend holds a persistent
+/// Under [`ScanMode::Grid`] the backend holds a persistent
 /// [`IncrementalEngine`] across `detect_resolve` calls, so consecutive
 /// rescans of a mostly-still fleet replay cached clean scans instead of
-/// re-deriving them — with outputs bit-identical to the full-rebuild path.
+/// re-deriving them — with outputs bit-identical to the naive scan.
 #[derive(Debug, Default)]
 pub struct SequentialBackend {
     engine: IncrementalEngine,
@@ -82,7 +82,7 @@ impl AtmBackend for SequentialBackend {
 
     fn detect_resolve(&mut self, aircraft: &mut [Aircraft], cfg: &AtmConfig) -> SimDuration {
         let sw = Stopwatch::start();
-        let stats = if cfg.scan == ScanMode::Incremental {
+        let stats = if cfg.scan == ScanMode::Grid {
             let stats = self.engine.detect_resolve(aircraft, cfg, &mut NullSink);
             record_activity(&self.recorder, self.engine.activity());
             stats

@@ -4,8 +4,8 @@
 //! Tasks 2+3 are where the paper's kernels spend their time and where data
 //! layout pays: the detect hot loop runs on split x/y/alt/velocity arrays
 //! with a branch-free, lane-chunked gate pass (the lockstep idiom of
-//! SIMD-X-style kernels), composed with whichever candidate enumerator
-//! ([`ScanIndex`]) the config selects. Task 1 and terrain avoidance are
+//! SIMD-X-style kernels), over the whole fleet ([`ScanMode::Naive`]) or the
+//! persistent grid engine's candidate frontier ([`ScanMode::Grid`]). Task 1 and terrain avoidance are
 //! correlation-protocol-bound rather than gate-bound, so they run the
 //! sequential reference routines — byte-identity for the whole backend is
 //! therefore by construction, with the SoA scan proven result-identical to
@@ -14,9 +14,7 @@
 use crate::backends::seq::record_activity;
 use crate::backends::{AtmBackend, BackendInfo, PlatformId, TimingKind};
 use crate::config::{AtmConfig, ScanMode};
-use crate::detect::{
-    check_collision_path_scanned, DetectStats, IncrementalEngine, ScanIndex, SoaFleet,
-};
+use crate::detect::{check_collision_path_scanned, DetectStats, IncrementalEngine, SoaFleet};
 use crate::terrain::{terrain_avoidance_all, TerrainGrid, TerrainTaskConfig};
 use crate::track::{track_correlate, TrackStats};
 use crate::types::{Aircraft, RadarReport};
@@ -26,16 +24,12 @@ use telemetry::Recorder;
 
 /// ATM with the detect scan on structure-of-arrays data (measured timing).
 ///
-/// Under [`ScanMode::Incremental`] a persistent [`IncrementalEngine`]
-/// carries the dirty-cell grid and replay cache across `detect_resolve`
-/// calls; live scans run the SoA gate kernel over the engine's candidate
-/// frontier.
+/// Under [`ScanMode::Grid`] a persistent [`IncrementalEngine`] carries the
+/// dirty-cell grid and replay cache across `detect_resolve` calls; live
+/// scans run the SoA gate kernel over the engine's candidate frontier.
 #[derive(Debug, Default)]
 pub struct SimdSoaBackend {
     engine: IncrementalEngine,
-    /// Scan index kept across calls and refreshed in place
-    /// ([`ScanIndex::refresh`]), reusing its bucket/offset allocations.
-    index: Option<ScanIndex>,
     recorder: Option<Recorder>,
     last_track: Option<TrackStats>,
     last_detect: Option<DetectStats>,
@@ -85,11 +79,16 @@ impl AtmBackend for SimdSoaBackend {
 
     fn detect_resolve(&mut self, aircraft: &mut [Aircraft], cfg: &AtmConfig) -> SimDuration {
         let sw = Stopwatch::start();
-        if cfg.scan == ScanMode::Incremental {
-            // Scan and commit-mirror closures interleave but never run at
-            // once, so the SoA mirror sits in a RefCell they share.
-            let fleet = RefCell::new(SoaFleet::from_aircraft(aircraft));
-            let scratch = RefCell::new(Vec::new());
+        // Scan and commit-mirror closures interleave but never run at once,
+        // so the SoA mirror sits in a RefCell they share. Positions and
+        // altitudes are frozen during Tasks 2+3; only aircraft `i`'s
+        // velocity can change during its own cascade.
+        let fleet = RefCell::new(SoaFleet::from_aircraft(aircraft));
+        let scratch = RefCell::new(Vec::new());
+        let mirror = |ac: &[Aircraft], i: usize| {
+            fleet.borrow_mut().set_velocity(i, (ac[i].dx, ac[i].dy));
+        };
+        let total = if cfg.scan == ScanMode::Grid {
             let total = self.engine.detect_resolve_unbooked(
                 aircraft,
                 cfg,
@@ -98,49 +97,29 @@ impl AtmBackend for SimdSoaBackend {
                         .borrow()
                         .scan_candidates(i, vel, cfg, cands, &mut scratch.borrow_mut())
                 },
-                |ac, i| fleet.borrow_mut().set_velocity(i, (ac[i].dx, ac[i].dy)),
+                mirror,
             );
             record_activity(&self.recorder, self.engine.activity());
-            self.last_detect = Some(total);
-            return sw.elapsed();
-        }
-        let n = aircraft.len();
-        match &mut self.index {
-            Some(ix) => ix.refresh(aircraft, cfg),
-            none => *none = Some(ScanIndex::for_config(aircraft, cfg)),
-        }
-        let index = self.index.as_ref().expect("index populated above");
-        let naive = matches!(index, ScanIndex::Naive);
-        // Positions and altitudes are frozen during Tasks 2+3; committed
-        // velocity changes are mirrored into the arrays after each aircraft
-        // (only aircraft `i`'s velocity can change during its own cascade).
-        let mut fleet = SoaFleet::from_aircraft(aircraft);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut total = DetectStats::default();
-        for i in 0..n {
-            if !naive {
-                cands.clear();
-                cands.extend(index.candidates(i, &aircraft[i], n).map(|p| p as u32));
+            total
+        } else {
+            let n = aircraft.len();
+            let mut total = DetectStats::default();
+            for i in 0..n {
+                total.absorb(&check_collision_path_scanned(
+                    aircraft,
+                    i,
+                    cfg,
+                    &mut NullSink,
+                    |_ac, i, vel, _sink| {
+                        fleet
+                            .borrow()
+                            .scan_range(i, vel, cfg, 0..n, &mut scratch.borrow_mut())
+                    },
+                ));
+                mirror(aircraft, i);
             }
-            let fleet_ro = &fleet;
-            let cands_ro = &cands;
-            let scratch = &mut scratch;
-            total.absorb(&check_collision_path_scanned(
-                aircraft,
-                i,
-                cfg,
-                &mut NullSink,
-                |_ac, i, vel, _sink| {
-                    if naive {
-                        fleet_ro.scan_range(i, vel, cfg, 0..n, scratch)
-                    } else {
-                        fleet_ro.scan_candidates(i, vel, cfg, cands_ro, scratch)
-                    }
-                },
-            ));
-            fleet.set_velocity(i, (aircraft[i].dx, aircraft[i].dy));
-        }
+            total
+        };
         self.last_detect = Some(total);
         sw.elapsed()
     }
@@ -162,16 +141,10 @@ mod tests {
     use super::*;
     use crate::airfield::Airfield;
     use crate::backends::SequentialBackend;
-    use crate::config::ScanMode;
 
     #[test]
     fn detect_is_byte_identical_to_sequential_across_scan_modes() {
-        for scan in [
-            ScanMode::Naive,
-            ScanMode::Banded,
-            ScanMode::Grid,
-            ScanMode::Incremental,
-        ] {
+        for scan in [ScanMode::Naive, ScanMode::Grid] {
             let field = Airfield::with_seed(600, 13);
             let mut cfg = field.config().clone();
             cfg.scan = scan;

@@ -4,33 +4,27 @@ use sim_clock::SimDuration;
 
 /// Host-side strategy for the Tasks 2+3 candidate scan.
 ///
-/// This is a *wall-clock* knob only: all modes perform the same mutations,
+/// This is a *wall-clock* knob only: both modes perform the same mutations,
 /// produce the same [`crate::detect::DetectStats`], and book the identical
 /// abstract-operation stream on every [`sim_clock::CostSink`], so modeled
-/// (simulated) time is bit-identical between them. `Banded` buckets aircraft
-/// by altitude band and visits only candidates that could pass the vertical
-/// separation gate; `Grid` additionally buckets by a coarse x/y grid sized
-/// to the critical-reach envelope ([`AtmConfig::critical_reach_nm`]). Both
-/// fast paths book the skipped pairs' operation mix in aggregate.
+/// (simulated) time is bit-identical between them. `Naive` is the paper's
+/// O(n²) scan and the reference every fast path is proven against; `Grid`
+/// buckets aircraft by altitude band and a coarse x/y grid sized to the
+/// critical-reach envelope ([`AtmConfig::critical_reach_nm`]) and books the
+/// skipped pairs' operation mix in aggregate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScanMode {
     /// Visit every other aircraft (the paper's O(n²) scan, the seed path).
     Naive,
-    /// Visit only aircraft within ±1 altitude band of the scanning aircraft
-    /// (results and modeled time match `Naive` exactly).
-    Banded,
     /// Visit only aircraft within ±1 altitude band *and* the same or an
-    /// adjacent spatial grid cell (the fastest path; results and modeled
-    /// time match `Naive` exactly).
+    /// adjacent spatial grid cell. Backends that own an engine keep the
+    /// grid alive across rescans — slot membership moved incrementally,
+    /// dirty-cell tracking, and replay of cached clear scans whose cell
+    /// neighborhood is provably unchanged (see
+    /// [`crate::detect::IncrementalEngine`]); stateless callers build it
+    /// fresh per execution. Results and modeled time match `Naive` exactly.
     #[default]
     Grid,
-    /// `Grid` with the index kept *alive across rescans*: cells sized from
-    /// the measured per-rescan fleet envelope, slot membership moved
-    /// incrementally, dirty-cell tracking, and — in the persistent backend
-    /// engines — replay of cached clear scans whose cell neighborhood is
-    /// provably unchanged (see [`crate::detect::IncrementalEngine`]).
-    /// Results and modeled time match `Naive` exactly.
-    Incremental,
 }
 
 /// All tunable parameters of the airfield and the three tasks.
@@ -89,12 +83,6 @@ pub struct AtmConfig {
     /// Host-side candidate-scan strategy for Tasks 2+3 (wall-clock only;
     /// results and modeled time are identical across modes).
     pub scan: ScanMode,
-    /// Spatial cell size for [`ScanMode::Grid`], nm. `0.0` (the default)
-    /// derives the cell from the critical-reach envelope
-    /// ([`AtmConfig::critical_reach_nm`]); explicit values are clamped *up*
-    /// to that envelope — a finer grid could not contain a gate-passing
-    /// pair within one cell of adjacency.
-    pub grid_cell_nm: f32,
     /// Geographic shard grid side: the airfield is partitioned into
     /// `shards × shards` equal cells, each owning the aircraft inside it
     /// plus a halo of foreign aircraft within critical reach of its borders
@@ -127,7 +115,6 @@ impl Default for AtmConfig {
             rotation_max_deg: 30.0,
             seed: 0x5EED_A7C0,
             scan: ScanMode::default(),
-            grid_cell_nm: 0.0,
             shards: 1,
         }
     }
@@ -204,10 +191,6 @@ impl AtmConfig {
         );
         assert!(self.rotation_step_deg > 0.0);
         assert!(self.rotation_max_deg >= self.rotation_step_deg);
-        assert!(
-            self.grid_cell_nm >= 0.0 && self.grid_cell_nm.is_finite(),
-            "grid cell size must be finite and non-negative (0 = auto)"
-        );
         assert!(
             (1..=32).contains(&self.shards),
             "shard grid side must be between 1 and 32"
@@ -290,16 +273,6 @@ mod tests {
             ..AtmConfig::default()
         };
         assert_eq!(c.critical_reach_nm(), c.separation_nm);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid cell size")]
-    fn negative_grid_cell_is_rejected() {
-        let c = AtmConfig {
-            grid_cell_nm: -1.0,
-            ..AtmConfig::default()
-        };
-        c.validate();
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! The module is organized as a **CandidateSource pipeline** (DESIGN.md
 //! §10): [`index`] owns *which* pairs a scan visits (the [`ScanIndex`]
-//! enumerators — naive, banded, grid, sharded), [`kernel`] owns *what
+//! enumerators — naive, grid, sharded), [`kernel`] owns *what
 //! happens* to every visited pair (the single [`scan_pairs`] kernel: gate
 //! checks, cost booking, earliest-conflict selection), and [`stats`] owns
 //! the outcome counters. Enumeration is a wall-clock choice only — every
@@ -41,12 +41,10 @@ mod stats;
 mod tests;
 
 pub use incremental::{IncrementalEngine, IncrementalGrid, ScanOps, TeeSink};
-pub use index::{AltitudeBands, ConflictGrid, ScanIndex};
+pub use index::ScanIndex;
 pub use kernel::{
     check_collision_path, check_collision_path_scanned, check_collision_path_with, detect_only,
-    detect_only_with, detect_resolve_all, detect_resolve_indexed, rotate_velocity,
-    scan_candidate_list, scan_candidate_list_booked, scan_member_list_booked, scan_pair_range,
-    scan_pairs,
+    detect_only_with, detect_resolve_all, rotate_velocity, scan_candidates, scan_pairs,
 };
 pub use soa::SoaFleet;
 pub use stats::{DetectStats, ScanActivity, ScanResult};

@@ -1,20 +1,19 @@
-//! Incremental dirty-cell conflict scanning ([`ScanMode::Incremental`]).
+//! The conflict grid ([`crate::config::ScanMode::Grid`]) and the persistent detect engine
+//! built on it.
 //!
-//! Every other candidate source rebuilds its pruning structure from scratch
-//! at the top of each detect execution and re-scans every aircraft. Between
-//! consecutive radar cycles only a fraction of the fleet actually crosses a
-//! grid cell or changes its scan-relevant state, so this module keeps one
-//! grid *alive* across rescans:
+//! Between consecutive radar cycles only a fraction of the fleet actually
+//! crosses a grid cell or changes its scan-relevant state, so the grid is
+//! kept *alive* across rescans:
 //!
-//! * [`IncrementalGrid`] persists per-aircraft cell assignments and moves
+//! * [`IncrementalGrid`] buckets aircraft into `(spatial cell, altitude
+//!   bucket)` slots, persists per-aircraft slot assignments and moves
 //!   aircraft between slots as they drift, marking the slots they leave and
 //!   enter **dirty** under a monotone clock. Cells are sized from the
 //!   *measured* per-rescan fleet envelope (the min/max x/y/altitude
-//!   observed during the update pass) — the same derivation
-//!   [`ConflictGrid::build`] performs per execution — with the coarsen-only
-//!   `grid_cell_nm` knob still honored; when the measured geometry changes
+//!   observed during the update pass); when the measured geometry changes
 //!   (envelope drift, fleet growth, collapse) the grid rebuilds in place
-//!   and every slot goes dirty.
+//!   and every slot goes dirty. A stateless caller's fresh
+//!   [`IncrementalGrid::build`] is exactly that all-dirty case.
 //! * [`IncrementalEngine`] adds a **clean-pair replay cache** on top: for
 //!   each aircraft whose first scan of a rescan came back clear, it stores
 //!   the scan's check count and recorded cost-booking totals
@@ -22,6 +21,20 @@
 //!   the cascade's mutations re-applied and the recorded totals re-booked —
 //!   iff every slot in the aircraft's current 3×3-cell × ±1-bucket
 //!   neighborhood has stayed clean since the entry was stored.
+//!
+//! # Why the grid covers every gate-passer
+//!
+//! Cell width is the critical-reach envelope
+//! ([`AtmConfig::critical_reach_nm`]) padded by a relative 1e-6 — strictly
+//! wider than any separation the range gate's inclusive `<=` compare can
+//! accept — and the bucket height is the vertical separation, which the
+//! altitude gate's strict `<` compare can never reach. A gate-passing pair
+//! therefore sits at most one cell apart per axis and one bucket apart in
+//! altitude (the f64 floor-division error is ≪ both margins under
+//! [`MAX_BUCKET_MAGNITUDE`]), so a scan that visits the track's 3×3 cell ×
+//! ±1-bucket neighborhood sees every pair the naive scan's gates accept.
+//! Positions and altitudes never change during Tasks 2+3, so one grid
+//! state stays valid through every rotation rescan.
 //!
 //! # Why replay is byte-identical (DESIGN.md §12)
 //!
@@ -37,18 +50,18 @@
 //! leaves *and* enters whenever its key bits change, and mid-execution
 //! velocity commits bump the clock and mark the committer's slot. A cached
 //! clear scan whose neighborhood is clean since it was stored is thus
-//! bit-for-bit the scan a full rebuild would produce, and a clear first
+//! bit-for-bit the scan a fresh build would produce, and a clear first
 //! scan is exactly the cascade's no-op path (reset, scan, no commit), so
 //! replaying `reset stores → recorded scan totals → exit branch` books and
 //! mutates precisely what the live path would.
 
 use crate::config::AtmConfig;
-use crate::detect::index::AltitudeBands;
-use crate::detect::kernel::{check_collision_path_scanned, scan_candidate_list_booked};
+use crate::detect::kernel::{check_collision_path_scanned, scan_candidates};
 use crate::detect::stats::{DetectStats, ScanActivity, ScanResult};
 use crate::shard::ShardedIncremental;
 use crate::types::Aircraft;
 use sim_clock::{CostSink, NullSink, OpClass, ALL_OP_CLASSES, OP_CLASS_COUNT};
+use std::ops::Range;
 
 /// Recorded cost-booking totals of one scan: a [`CostSink`] that tallies
 /// the aggregate a scan books so the identical totals can be re-booked
@@ -193,14 +206,31 @@ impl<S: CostSink> CostSink for TeeSink<'_, S> {
     }
 }
 
+/// Largest bucket index magnitude the grid will use. Beyond this the f64
+/// rounding slack in `v / width` is no longer provably below the margins
+/// of the f32 gates, so [`GridGeometry::measure`] falls back to a single
+/// catch-all cell or bucket (still correct, no pruning). Real
+/// configurations sit around |bucket| ≤ 40.
+const MAX_BUCKET_MAGNITUDE: f64 = (1u64 << 24) as f64;
+
+/// Bucket index of one coordinate under `width`, or `None` when the
+/// assignment is not provably gate-consistent (non-finite value or huge
+/// quotient).
+fn bucket_for(v: f32, width: f64) -> Option<i64> {
+    let q = (v as f64 / width).floor();
+    if q.is_finite() && q.abs() <= MAX_BUCKET_MAGNITUDE {
+        Some(q as i64)
+    } else {
+        None
+    }
+}
+
 /// The measured-envelope grid geometry of one rescan: cell width from the
-/// critical reach (coarsened by `grid_cell_nm`), spatial extent and
-/// altitude-bucket span from the min/max actually observed over the fleet.
-/// Derivation and degenerate fallbacks mirror [`ConflictGrid::build`]
-/// exactly, so the incremental grid assigns every aircraft to the same
-/// conceptual slot the full-rebuild grid would.
-///
-/// [`ConflictGrid::build`]: crate::detect::ConflictGrid::build
+/// critical reach, spatial extent and altitude-bucket span from the
+/// min/max actually observed over the fleet. Degenerate inputs (empty
+/// fleet, non-finite reach, width or coordinates, or a span so wide the
+/// slot table would waste memory) fall back to a single catch-all cell or
+/// bucket — correct at reduced pruning either way.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct GridGeometry {
     /// Cell width in nm (0.0 marks the degenerate single cell).
@@ -218,70 +248,29 @@ struct GridGeometry {
 impl GridGeometry {
     /// Measure the fleet envelope and derive this rescan's geometry.
     fn measure(aircraft: &[Aircraft], cfg: &AtmConfig) -> GridGeometry {
-        let n = aircraft.len();
-        let cap = (4 * n as i128).max(4_096);
+        let cap = (4 * aircraft.len() as i128).max(4_096);
 
-        // Altitude buckets: same derivation as `AltitudeBands::build`.
-        let mut band = (0.0f64, 0i64, 1usize);
+        // Altitude buckets.
         let width = cfg.alt_separation_ft as f64;
-        if n > 0 && width.is_finite() && width > 0.0 {
-            let (mut min_b, mut max_b) = (i64::MAX, i64::MIN);
-            let mut ok = true;
-            for a in aircraft {
-                match AltitudeBands::bucket_for(a.alt, width) {
-                    Some(b) => {
-                        min_b = min_b.min(b);
-                        max_b = max_b.max(b);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                let span = (max_b as i128 - min_b as i128) + 1;
-                if span <= cap {
-                    band = (width, min_b, span as usize);
-                }
-            }
-        }
-        let (band_width, min_b, nb) = band;
+        let (band_width, min_b, nb) = match bucket_range(aircraft.iter().map(|a| a.alt), width) {
+            Some((min_b, span)) if span <= cap => (width, min_b, span as usize),
+            _ => (0.0, 0, 1),
+        };
 
-        // Spatial cells: same derivation as `ConflictGrid::build`, envelope
-        // measured from the aircraft actually present this rescan.
-        let cell = (cfg.critical_reach_nm() as f64 * 1.000_001).max(cfg.grid_cell_nm as f64);
-        let mut spatial = None;
-        if n > 0 && cell.is_finite() && cell > 0.0 {
-            let (mut min_cx, mut max_cx) = (i64::MAX, i64::MIN);
-            let (mut min_cy, mut max_cy) = (i64::MAX, i64::MIN);
-            let mut ok = true;
-            for a in aircraft {
-                match (
-                    AltitudeBands::bucket_for(a.x, cell),
-                    AltitudeBands::bucket_for(a.y, cell),
-                ) {
-                    (Some(cx), Some(cy)) => {
-                        min_cx = min_cx.min(cx);
-                        max_cx = max_cx.max(cx);
-                        min_cy = min_cy.min(cy);
-                        max_cy = max_cy.max(cy);
-                    }
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
+        // Spatial cells, envelope measured from the aircraft actually
+        // present this rescan. The pad restores a strict inequality margin
+        // over the range gate's inclusive `<=` compare.
+        let cell = cfg.critical_reach_nm() as f64 * 1.000_001;
+        let xs = bucket_range(aircraft.iter().map(|a| a.x), cell);
+        let ys = bucket_range(aircraft.iter().map(|a| a.y), cell);
+        let (cell_nm, min_cx, min_cy, cols, rows) = match xs.zip(ys) {
+            Some(((min_cx, cols), (min_cy, rows)))
+                if cols * rows <= cap && cols * rows * nb as i128 <= 2 * cap =>
+            {
+                (cell, min_cx, min_cy, cols as usize, rows as usize)
             }
-            if ok {
-                let cols = (max_cx as i128 - min_cx as i128) + 1;
-                let rows = (max_cy as i128 - min_cy as i128) + 1;
-                if cols * rows <= cap && cols * rows * nb as i128 <= 2 * cap {
-                    spatial = Some((cell, min_cx, min_cy, cols as usize, rows as usize));
-                }
-            }
-        }
-        let (cell_nm, min_cx, min_cy, cols, rows) = spatial.unwrap_or((0.0, 0, 0, 1, 1));
+            _ => (0.0, 0, 0, 1, 1),
+        };
 
         GridGeometry {
             cell_nm,
@@ -303,14 +292,14 @@ impl GridGeometry {
     /// was measured from (unbucketable fleets degrade to the single slot).
     fn slot_of(&self, a: &Aircraft) -> usize {
         let spatial = if self.cell_nm > 0.0 {
-            let cx = AltitudeBands::bucket_for(a.x, self.cell_nm).expect("measured above");
-            let cy = AltitudeBands::bucket_for(a.y, self.cell_nm).expect("measured above");
+            let cx = bucket_for(a.x, self.cell_nm).expect("measured above");
+            let cy = bucket_for(a.y, self.cell_nm).expect("measured above");
             (cy - self.min_cy) as usize * self.cols + (cx - self.min_cx) as usize
         } else {
             0
         };
         let b = if self.band_width > 0.0 {
-            match AltitudeBands::bucket_for(a.alt, self.band_width) {
+            match bucket_for(a.alt, self.band_width) {
                 Some(b) => (b - self.min_b) as usize,
                 None => 0,
             }
@@ -320,45 +309,49 @@ impl GridGeometry {
         spatial * self.nb + b
     }
 
-    /// Half-open cell-coordinate spans covering `cell(x,y) ± 1` per axis.
-    fn cell_spans(&self, x: f32, y: f32) -> (usize, usize, usize, usize) {
-        if self.cell_nm <= 0.0 {
-            return (0, self.cols, 0, self.rows);
-        }
-        let clamp_axis = |c: Option<i64>, min: i64, len: usize| match c {
-            Some(c) => {
-                let lo = (c - 1 - min).clamp(0, len as i64);
-                let hi = (c + 2 - min).clamp(0, len as i64);
-                (lo as usize, hi.max(lo) as usize)
-            }
-            None => (0, len),
-        };
-        let (x_lo, x_hi) = clamp_axis(
-            AltitudeBands::bucket_for(x, self.cell_nm),
-            self.min_cx,
-            self.cols,
-        );
-        let (y_lo, y_hi) = clamp_axis(
-            AltitudeBands::bucket_for(y, self.cell_nm),
-            self.min_cy,
-            self.rows,
-        );
-        (x_lo, x_hi, y_lo, y_hi)
+    /// Slot ranges of `track`'s 3×3-cell × ±1-bucket neighborhood, cells
+    /// y-major: one contiguous range per cell, since the bucket dimension
+    /// varies fastest.
+    fn neighborhood(&self, track: &Aircraft) -> impl Iterator<Item = Range<usize>> {
+        let (x_lo, x_hi) = neighbor_span(track.x, self.cell_nm, self.min_cx, self.cols);
+        let (y_lo, y_hi) = neighbor_span(track.y, self.cell_nm, self.min_cy, self.rows);
+        let (b_lo, b_hi) = neighbor_span(track.alt, self.band_width, self.min_b, self.nb);
+        let (cols, nb) = (self.cols, self.nb);
+        (y_lo..y_hi).flat_map(move |cy| {
+            (x_lo..x_hi).map(move |cx| {
+                let base = (cy * cols + cx) * nb;
+                base + b_lo..base + b_hi
+            })
+        })
     }
+}
 
-    /// Half-open bucket span covering `bucket(alt) ± 1`.
-    fn bucket_span(&self, alt: f32) -> (usize, usize) {
-        if self.band_width <= 0.0 {
-            return (0, self.nb);
+/// `(first bucket, bucket count)` spanned by `values` under `width`, or
+/// `None` for a degenerate width, an unbucketable value or no values.
+fn bucket_range(values: impl Iterator<Item = f32>, width: f64) -> Option<(i64, i128)> {
+    if !(width.is_finite() && width > 0.0) {
+        return None;
+    }
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for v in values {
+        let b = bucket_for(v, width)?;
+        lo = lo.min(b);
+        hi = hi.max(b);
+    }
+    (lo <= hi).then_some((lo, hi as i128 - lo as i128 + 1))
+}
+
+/// Half-open span of the `len` buckets starting at index `min` that
+/// covers `bucket(v) ± 1` under `width` — every bucket for a degenerate
+/// width (≤ 0) or an unbucketable `v`.
+fn neighbor_span(v: f32, width: f64, min: i64, len: usize) -> (usize, usize) {
+    match bucket_for(v, width).filter(|_| width > 0.0) {
+        Some(b) => {
+            let lo = (b - 1 - min).clamp(0, len as i64);
+            let hi = (b + 2 - min).clamp(0, len as i64);
+            (lo as usize, hi.max(lo) as usize)
         }
-        match AltitudeBands::bucket_for(alt, self.band_width) {
-            Some(b) => {
-                let lo = (b - 1 - self.min_b).clamp(0, self.nb as i64) as usize;
-                let hi = (b + 2 - self.min_b).clamp(0, self.nb as i64) as usize;
-                (lo, hi.max(lo))
-            }
-            None => (0, self.nb),
-        }
+        None => (0, len),
     }
 }
 
@@ -405,7 +398,8 @@ impl IncrementalGrid {
     }
 
     /// Build a grid for one fleet snapshot (a fresh, all-dirty update) —
-    /// the stateless entry [`ScanIndex::for_config`] uses.
+    /// the stateless entry [`ScanIndex::for_config`] and the shard indexes
+    /// use.
     ///
     /// [`ScanIndex::for_config`]: crate::detect::ScanIndex::for_config
     pub fn build(aircraft: &[Aircraft], cfg: &AtmConfig) -> IncrementalGrid {
@@ -525,61 +519,22 @@ impl IncrementalGrid {
     /// validity test. The track's own slot is always inside its own
     /// neighborhood, so its own changes are covered.
     pub fn clean_since(&self, track: &Aircraft, since: u64) -> bool {
-        let Some(geo) = self.geo else {
-            return false;
-        };
-        let (x_lo, x_hi, y_lo, y_hi) = geo.cell_spans(track.x, track.y);
-        let (b_lo, b_hi) = geo.bucket_span(track.alt);
-        for cy in y_lo..y_hi {
-            for cx in x_lo..x_hi {
-                let base = (cy * geo.cols + cx) * geo.nb;
-                for b in b_lo..b_hi {
-                    if self.dirty[base + b] > since {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.geo.is_some_and(|geo| {
+            geo.neighborhood(track)
+                .all(|slots| self.dirty[slots].iter().all(|&d| d <= since))
+        })
     }
 
-    /// Candidate superset of `track`'s gate-passers: the 3×3 cell
-    /// neighborhood intersected with altitude bucket ±1, cells y-major,
-    /// indices ascending within each slot — the same coverage argument as
-    /// [`ConflictGrid::candidates`].
-    ///
-    /// [`ConflictGrid::candidates`]: crate::detect::ConflictGrid::candidates
-    pub fn candidates<'g>(&'g self, track: &Aircraft) -> impl Iterator<Item = usize> + 'g {
-        let (x_lo, x_hi, y_lo, y_hi, b_lo, b_hi, cols, nb) = match self.geo {
-            Some(geo) => {
-                let (x_lo, x_hi, y_lo, y_hi) = geo.cell_spans(track.x, track.y);
-                let (b_lo, b_hi) = geo.bucket_span(track.alt);
-                (x_lo, x_hi, y_lo, y_hi, b_lo, b_hi, geo.cols, geo.nb)
-            }
-            None => (0, 0, 0, 0, 0, 0, 1, 1),
-        };
-        (y_lo..y_hi)
-            .flat_map(move |cy| (x_lo..x_hi).map(move |cx| cy * cols + cx))
-            .flat_map(move |cell| {
-                (b_lo..b_hi)
-                    .flat_map(move |b| self.slots[cell * nb + b].iter().map(|&i| i as usize))
-            })
-    }
-
-    /// Gather [`IncrementalGrid::candidates`] into a reusable buffer.
+    /// Gather the candidate superset of `track`'s gate-passers into `out`
+    /// (cleared first): the 3×3 cell neighborhood intersected with altitude
+    /// bucket ±1 (see the module docs for the coverage argument), cells
+    /// y-major, indices ascending within each slot. Callers re-check the
+    /// real f32 gates.
     pub fn candidates_into(&self, track: &Aircraft, out: &mut Vec<u32>) {
         out.clear();
-        let Some(geo) = self.geo else {
-            return;
-        };
-        let (x_lo, x_hi, y_lo, y_hi) = geo.cell_spans(track.x, track.y);
-        let (b_lo, b_hi) = geo.bucket_span(track.alt);
-        for cy in y_lo..y_hi {
-            for cx in x_lo..x_hi {
-                let base = (cy * geo.cols + cx) * geo.nb;
-                for b in b_lo..b_hi {
-                    out.extend_from_slice(&self.slots[base + b]);
-                }
+        for slots in self.geo.iter().flat_map(|geo| geo.neighborhood(track)) {
+            for slot in &self.slots[slots] {
+                out.extend_from_slice(slot);
             }
         }
     }
@@ -611,11 +566,8 @@ enum DriverKind {
 /// [`IncrementalEngine::detect_resolve`] (modeled cost paths) or
 /// [`IncrementalEngine::detect_resolve_unbooked`] (measured paths) per
 /// rescan; outputs are bit-identical to
-/// [`crate::detect::detect_resolve_all`] under [`ScanMode::Grid`] — fleet
+/// [`crate::detect::detect_resolve_all`] under either scan mode — fleet
 /// bytes, stats and booked sink totals alike.
-///
-/// [`ScanMode::Grid`]: crate::config::ScanMode::Grid
-/// [`ScanMode::Incremental`]: crate::config::ScanMode::Incremental
 #[derive(Debug, Default)]
 pub struct IncrementalEngine {
     grid: IncrementalGrid,
@@ -708,7 +660,7 @@ impl IncrementalEngine {
     }
 
     /// One booked rescan: bit-identical fleet mutations, stats and sink
-    /// totals to `detect_resolve_all` under `ScanMode::Grid`.
+    /// totals to `detect_resolve_all`.
     pub fn detect_resolve(
         &mut self,
         aircraft: &mut [Aircraft],
@@ -731,12 +683,30 @@ impl IncrementalEngine {
                     let mut rec = ScanOps::default();
                     let r = {
                         let mut tee = TeeSink::new(sink, &mut rec);
-                        scan_candidate_list_booked(ac, i, vel, cfg, cands, &mut tee)
+                        scan_candidates(
+                            ac,
+                            None,
+                            i,
+                            ac.len(),
+                            vel,
+                            cfg,
+                            cands.iter().map(|&p| p as usize),
+                            &mut tee,
+                        )
                     };
                     first = Some((r.checks, rec, r.critical.is_none()));
                     r
                 } else {
-                    scan_candidate_list_booked(ac, i, vel, cfg, cands, sink)
+                    scan_candidates(
+                        ac,
+                        None,
+                        i,
+                        ac.len(),
+                        vel,
+                        cfg,
+                        cands.iter().map(|&p| p as usize),
+                        sink,
+                    )
                 }
             });
             total.absorb(&stats);
@@ -826,7 +796,6 @@ mod tests {
     use super::*;
     use crate::airfield::Airfield;
     use crate::config::ScanMode;
-    use crate::detect::index::ConflictGrid;
     use crate::detect::kernel::detect_resolve_all;
     use sim_clock::OpCounter;
 
@@ -835,6 +804,29 @@ mod tests {
         let mut cfg = field.config().clone();
         cfg.scan = ScanMode::Grid;
         (field.aircraft, cfg)
+    }
+
+    /// The oracle run every engine test compares against: the naive scan,
+    /// from scratch, every cycle.
+    fn naive_detect(
+        aircraft: &mut [Aircraft],
+        cfg: &AtmConfig,
+        sink: &mut impl CostSink,
+    ) -> DetectStats {
+        let naive = AtmConfig {
+            scan: ScanMode::Naive,
+            ..cfg.clone()
+        };
+        detect_resolve_all(aircraft, &naive, sink)
+    }
+
+    /// A grid's gathered candidates for `track`, sorted.
+    fn sorted_candidates(grid: &IncrementalGrid, track: &Aircraft) -> Vec<usize> {
+        let mut buf = Vec::new();
+        grid.candidates_into(track, &mut buf);
+        let mut out: Vec<usize> = buf.iter().map(|&p| p as usize).collect();
+        out.sort_unstable();
+        out
     }
 
     /// Deterministic xorshift for displacement patterns.
@@ -860,21 +852,21 @@ mod tests {
     }
 
     #[test]
-    fn incremental_candidates_match_the_full_rebuild_grid() {
+    fn candidates_cover_every_gate_passer() {
         let (ac, cfg) = fleet(600, 21);
-        let full = ConflictGrid::build(&ac, &cfg);
-        let inc = IncrementalGrid::build(&ac, &cfg);
+        let grid = IncrementalGrid::build(&ac, &cfg);
+        let reach = cfg.critical_reach_nm();
         for i in (0..ac.len()).step_by(13) {
-            let mut a: Vec<usize> = full.candidates(&ac[i]).collect();
-            let mut b: Vec<usize> = inc.candidates(&ac[i]).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "candidate sets diverged for track {i}");
-            let mut buf = Vec::new();
-            inc.candidates_into(&ac[i], &mut buf);
-            let mut c: Vec<usize> = buf.iter().map(|&p| p as usize).collect();
-            c.sort_unstable();
-            assert_eq!(b, c, "buffer gather diverged for track {i}");
+            let a = sorted_candidates(&grid, &ac[i]);
+            assert!(a.len() < ac.len(), "the grid should prune track {i}");
+            for (p, other) in ac.iter().enumerate() {
+                let gates = (ac[i].alt - other.alt).abs() < cfg.alt_separation_ft
+                    && (ac[i].x - other.x).abs() <= reach
+                    && (ac[i].y - other.y).abs() <= reach;
+                if p != i && gates {
+                    assert!(a.binary_search(&p).is_ok(), "gate pair ({i},{p}) missed");
+                }
+            }
         }
     }
 
@@ -888,11 +880,11 @@ mod tests {
             inc.update(&ac, &cfg);
             let fresh = IncrementalGrid::build(&ac, &cfg);
             for i in (0..ac.len()).step_by(7) {
-                let mut a: Vec<usize> = inc.candidates(&ac[i]).collect();
-                let mut b: Vec<usize> = fresh.candidates(&ac[i]).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "cycle {cycle} track {i}");
+                assert_eq!(
+                    sorted_candidates(&inc, &ac[i]),
+                    sorted_candidates(&fresh, &ac[i]),
+                    "cycle {cycle} track {i}"
+                );
             }
         }
     }
@@ -902,16 +894,18 @@ mod tests {
         let (ac, cfg) = fleet(300, 8);
         let inc = IncrementalGrid::build(&ac, &cfg);
         let mut cands = Vec::new();
+        let n = ac.len();
         for i in [0usize, 37, 150, 299] {
             inc.candidates_into(&ac[i], &mut cands);
+            let ids = || cands.iter().map(|&p| p as usize);
             let vel = (ac[i].dx, ac[i].dy);
             let mut direct = OpCounter::new();
-            scan_candidate_list_booked(&ac, i, vel, &cfg, &cands, &mut direct);
+            scan_candidates(&ac, None, i, n, vel, &cfg, ids(), &mut direct);
             let mut live = OpCounter::new();
             let mut rec = ScanOps::default();
             {
                 let mut tee = TeeSink::new(&mut live, &mut rec);
-                scan_candidate_list_booked(&ac, i, vel, &cfg, &cands, &mut tee);
+                scan_candidates(&ac, None, i, n, vel, &cfg, ids(), &mut tee);
             }
             assert_eq!(live, direct, "tee must not perturb the real sink");
             assert!(!rec.irregular(), "scan path books no raw loads/stores");
@@ -923,9 +917,9 @@ mod tests {
 
     /// The core differential: a persistent engine over many rescans of a
     /// drifting fleet stays bit-identical — fleet bytes, stats and booked
-    /// sink totals — to a full grid rebuild every cycle.
+    /// sink totals — to the naive scan every cycle.
     #[test]
-    fn engine_matches_full_rebuild_over_many_cycles() {
+    fn engine_matches_naive_over_many_cycles() {
         for (n, seed, frac) in [(300usize, 11u64, 0.02f64), (500, 77, 0.25)] {
             let (ac0, cfg) = fleet(n, seed);
             let mut reference = ac0.clone();
@@ -936,7 +930,7 @@ mod tests {
                 displace(&mut reference, frac, &mut seed.clone());
                 displace(&mut incremental, frac, &mut seed);
                 let mut ref_ops = OpCounter::new();
-                let ref_stats = detect_resolve_all(&mut reference, &cfg, &mut ref_ops);
+                let ref_stats = naive_detect(&mut reference, &cfg, &mut ref_ops);
                 let mut inc_ops = OpCounter::new();
                 let inc_stats = engine.detect_resolve(&mut incremental, &cfg, &mut inc_ops);
                 assert_eq!(incremental, reference, "fleet diverged, cycle {cycle}");
@@ -960,7 +954,7 @@ mod tests {
         let mut engine = IncrementalEngine::new();
         let mut settled_live = None;
         for cycle in 0..5 {
-            let ref_stats = detect_resolve_all(&mut reference, &cfg, &mut NullSink);
+            let ref_stats = naive_detect(&mut reference, &cfg, &mut NullSink);
             let inc_stats = engine.detect_resolve(&mut incremental, &cfg, &mut NullSink);
             assert_eq!(incremental, reference, "cycle {cycle}");
             assert_eq!(inc_stats, ref_stats, "cycle {cycle}");
@@ -991,7 +985,7 @@ mod tests {
         let mut incremental = ac0;
         let mut engine = IncrementalEngine::new();
         engine.detect_resolve(&mut incremental, &cfg, &mut NullSink);
-        detect_resolve_all(&mut reference, &cfg, &mut NullSink);
+        naive_detect(&mut reference, &cfg, &mut NullSink);
         // Collapse the measured envelope to (nearly) a point.
         for (r, i) in reference.iter_mut().zip(incremental.iter_mut()) {
             r.x = 1.0;
@@ -1000,7 +994,7 @@ mod tests {
             i.y = -2.0;
         }
         let mut ref_ops = OpCounter::new();
-        let ref_stats = detect_resolve_all(&mut reference, &cfg, &mut ref_ops);
+        let ref_stats = naive_detect(&mut reference, &cfg, &mut ref_ops);
         let mut inc_ops = OpCounter::new();
         let inc_stats = engine.detect_resolve(&mut incremental, &cfg, &mut inc_ops);
         assert_eq!(incremental, reference, "fleet diverged after collapse");
@@ -1018,14 +1012,13 @@ mod tests {
         let (smaller, _) = fleet(60, 9);
         let mut reference = smaller.clone();
         let mut incremental = smaller;
-        detect_resolve_all(&mut reference, &cfg, &mut NullSink);
+        naive_detect(&mut reference, &cfg, &mut NullSink);
         engine.detect_resolve(&mut incremental, &cfg, &mut NullSink);
         assert_eq!(incremental, reference);
     }
 
     #[test]
     fn unbooked_driver_matches_the_booked_one() {
-        use crate::detect::kernel::scan_candidate_list;
         let (ac0, cfg) = fleet(350, 17);
         let mut booked = ac0.clone();
         let mut unbooked = ac0;
@@ -1039,7 +1032,10 @@ mod tests {
             let b = eng_b.detect_resolve_unbooked(
                 &mut unbooked,
                 &cfg,
-                |ac, i, vel, cands| scan_candidate_list(ac, i, vel, &cfg, cands),
+                |ac, i, vel, cands| {
+                    let ids = cands.iter().map(|&p| p as usize);
+                    scan_candidates(ac, None, i, ac.len(), vel, &cfg, ids, &mut NullSink)
+                },
                 |_, _| {},
             );
             assert_eq!(unbooked, booked, "cycle {cycle}");

@@ -1,5 +1,4 @@
-//! Candidate enumeration: the per-execution [`ScanIndex`] and the pruning
-//! structures behind it.
+//! Candidate enumeration: the per-execution [`ScanIndex`].
 //!
 //! This is the **CandidateSource** side of the detect pipeline: a
 //! [`ScanIndex`] enumerates, for one track aircraft, a superset of every
@@ -14,413 +13,6 @@ use crate::shard::ShardedIndex;
 use crate::types::Aircraft;
 use ap_sim::ResponderSet;
 
-/// Largest bucket index magnitude the banded index will use. Beyond this
-/// the f64 rounding slack in `alt / width` is no longer provably below the
-/// half-ulp margin of the f32 altitude gate, so [`AltitudeBands::build`]
-/// falls back to a single catch-all bucket (still correct, no pruning).
-/// Real configurations sit around |bucket| ≤ 40.
-const MAX_BUCKET_MAGNITUDE: f64 = (1u64 << 24) as f64;
-
-/// An altitude-band bucketed index over a fleet snapshot.
-///
-/// Bucket `b` holds the aircraft with `floor(alt / width) == b`, where
-/// `width` is the vertical-separation threshold. Any pair passing the f32
-/// altitude gate `|a.alt − b.alt| < width` is at most one bucket apart
-/// (`|Δalt| < width` bounds the exact quotients within 1.0 of each other,
-/// and the f64 division error is ≪ the gate's own f32 half-ulp margin under
-/// [`MAX_BUCKET_MAGNITUDE`]), so a scan that visits buckets `b−1..=b+1` sees
-/// every candidate the naive O(n²) scan would accept. Altitudes never change
-/// during Tasks 2+3 — only velocities and collision flags do — so an index
-/// built once per detect execution stays valid through every rotation
-/// rescan of every aircraft.
-///
-/// This is purely a host-side wall-clock structure: the scan kernel books
-/// the skipped pairs' operation mix in aggregate (see
-/// [`crate::detect::scan_pairs`]), so every [`sim_clock::CostSink`] tallies
-/// exactly what the naive scan books.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AltitudeBands {
-    /// Band width in feet as f64 (0.0 marks the degenerate single-bucket
-    /// fallback).
-    width: f64,
-    /// Bucket index of `buckets[0]`.
-    min_bucket: i64,
-    /// Aircraft indices grouped by altitude bucket, ascending bucket order.
-    buckets: Vec<Vec<u32>>,
-}
-
-impl AltitudeBands {
-    /// Bucket index of one altitude, or `None` when the assignment is not
-    /// provably gate-consistent (non-finite altitude or huge quotient).
-    /// Crate-visible: the incremental grid reuses the exact same quantizer
-    /// so its cell assignments agree with the full-rebuild grid's.
-    pub(crate) fn bucket_for(alt: f32, width: f64) -> Option<i64> {
-        let q = (alt as f64 / width).floor();
-        if q.is_finite() && q.abs() <= MAX_BUCKET_MAGNITUDE {
-            Some(q as i64)
-        } else {
-            None
-        }
-    }
-
-    /// Build the index for a fleet under vertical separation
-    /// `alt_separation_ft`. Degenerate parameters (non-positive or
-    /// non-finite width, unbucketable altitudes, or a bucket span so wide
-    /// the index would waste memory) yield a single catch-all bucket, which
-    /// keeps every scan correct at naive cost.
-    pub fn build(aircraft: &[Aircraft], alt_separation_ft: f32) -> AltitudeBands {
-        let mut bands = AltitudeBands {
-            width: 0.0,
-            min_bucket: 0,
-            buckets: Vec::new(),
-        };
-        bands.rebuild(aircraft, alt_separation_ft);
-        bands
-    }
-
-    /// [`AltitudeBands::build`] in place: recompute the bucketing for a new
-    /// fleet snapshot while reusing the bucket allocations — the state after
-    /// a rebuild is indistinguishable from a fresh build. Kills the
-    /// per-rescan allocation churn for backends that keep an index alive
-    /// across executions ([`ScanIndex::refresh`]).
-    pub fn rebuild(&mut self, aircraft: &[Aircraft], alt_separation_ft: f32) {
-        let n = aircraft.len();
-        let width = alt_separation_ft as f64;
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        // Decide the bucket layout (or the degenerate single-bucket
-        // fallback) before touching the storage.
-        let mut layout = None;
-        if n > 0 && width.is_finite() && width > 0.0 {
-            let mut min_b = i64::MAX;
-            let mut max_b = i64::MIN;
-            let mut ok = true;
-            for a in aircraft {
-                match Self::bucket_for(a.alt, width) {
-                    Some(b) => {
-                        min_b = min_b.min(b);
-                        max_b = max_b.max(b);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                let span = (max_b as i128 - min_b as i128) + 1;
-                if span <= (4 * n as i128).max(4_096) {
-                    layout = Some((min_b, span as usize));
-                }
-            }
-        }
-        match layout {
-            Some((min_b, span)) => {
-                self.width = width;
-                self.min_bucket = min_b;
-                self.buckets.resize_with(span, Vec::new);
-                for (idx, a) in aircraft.iter().enumerate() {
-                    let b = Self::bucket_for(a.alt, width).expect("bucketed above");
-                    self.buckets[(b - min_b) as usize].push(idx as u32);
-                }
-            }
-            None => {
-                self.width = 0.0;
-                self.min_bucket = 0;
-                self.buckets.resize_with(1, Vec::new);
-                self.buckets[0].extend(0..n as u32);
-            }
-        }
-    }
-
-    /// Half-open range into `buckets` covering `bucket(alt) ± 1`.
-    fn candidate_range(&self, alt: f32) -> (usize, usize) {
-        if self.width <= 0.0 {
-            return (0, self.buckets.len());
-        }
-        let len = self.buckets.len() as i64;
-        let Some(b) = Self::bucket_for(alt, self.width) else {
-            // Unbucketable query altitude: scan everything (correctness
-            // over pruning; cannot happen for altitudes the index was
-            // built from).
-            return (0, self.buckets.len());
-        };
-        let lo = (b - 1 - self.min_bucket).clamp(0, len);
-        let hi = (b + 2 - self.min_bucket).clamp(0, len);
-        (lo as usize, hi.max(lo) as usize)
-    }
-
-    /// Aircraft indices that could pass the altitude gate against an
-    /// aircraft at `alt` (a superset: callers re-check the real gate).
-    pub fn candidates(&self, alt: f32) -> impl Iterator<Item = usize> + '_ {
-        let (lo, hi) = self.candidate_range(alt);
-        self.buckets[lo..hi]
-            .iter()
-            .flat_map(|b| b.iter().map(|&i| i as usize))
-    }
-
-    /// Number of buckets (1 for the degenerate fallback).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Whether the index is the single catch-all bucket (no pruning).
-    pub fn is_degenerate(&self) -> bool {
-        self.width <= 0.0
-    }
-
-    /// Bucket index of one altitude under this index's width, or `None`
-    /// when the index is degenerate or the altitude is unbucketable.
-    pub fn bucket_of(&self, alt: f32) -> Option<i64> {
-        if self.is_degenerate() {
-            None
-        } else {
-            Self::bucket_for(alt, self.width)
-        }
-    }
-}
-
-/// A coarse uniform x/y grid over the airfield, composed with the altitude
-/// bands: the [`ScanMode::Grid`] index.
-///
-/// Cell width is the critical-reach envelope
-/// ([`AtmConfig::critical_reach_nm`]) padded by a relative 1e-6 — strictly
-/// wider than any separation the range gate's inclusive `<=` compare can
-/// accept, so a pair passing the gate sits at most one cell apart per axis
-/// (the f64 floor-division error is ≪ the pad under
-/// [`MAX_BUCKET_MAGNITUDE`], the same argument as [`AltitudeBands`]). A
-/// scan that visits the track's cell ±1 on both axes therefore sees every
-/// pair the naive scan's two gates could accept. An explicit
-/// `cfg.grid_cell_nm` only ever *coarsens* the cells.
-///
-/// Positions, like altitudes, never change during Tasks 2+3, so one index
-/// per detect execution stays valid through every rotation rescan. Purely a
-/// host-side wall-clock structure: the scan kernel books skipped pairs in
-/// aggregate (see [`crate::detect::scan_pairs`]).
-///
-/// Storage is CSR over `(spatial cell, altitude bucket)` slots with the
-/// bucket dimension fastest-varying: the ±1-bucket range of one spatial
-/// cell is a single contiguous `idx` slice found by two O(1) offset loads,
-/// so a scan touches exactly the intersection of both dimensions with no
-/// per-candidate filtering and no per-cell searching.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConflictGrid {
-    /// The altitude dimension (candidates slice on bucket ±1).
-    bands: AltitudeBands,
-    /// Cell width in nm as f64 (0.0 marks the degenerate single cell).
-    cell_nm: f64,
-    /// Cell-coordinate origin of the first slot's spatial cell.
-    min_cx: i64,
-    min_cy: i64,
-    /// Grid extent in spatial cells.
-    cols: usize,
-    rows: usize,
-    /// Altitude-bucket span composed into the slots (1 when `bands` is
-    /// degenerate) and the bucket index of slot offset 0.
-    nb: usize,
-    min_b: i64,
-    /// CSR offsets: slot `(cy·cols + cx)·nb + b` holds aircraft of spatial
-    /// cell `(cx, cy)` and altitude bucket `min_b + b`; len `slots + 1`.
-    offsets: Vec<u32>,
-    /// Aircraft indices grouped by slot, ascending index within a slot.
-    idx: Vec<u32>,
-}
-
-impl ConflictGrid {
-    /// Build the index for one detect execution. Degenerate inputs (empty
-    /// fleet, non-finite reach or positions, a cell span so wide the grid
-    /// would waste memory) fall back to one catch-all cell — correct at
-    /// banded cost.
-    pub fn build(aircraft: &[Aircraft], cfg: &AtmConfig) -> ConflictGrid {
-        let mut grid = ConflictGrid {
-            bands: AltitudeBands {
-                width: 0.0,
-                min_bucket: 0,
-                buckets: Vec::new(),
-            },
-            cell_nm: 0.0,
-            min_cx: 0,
-            min_cy: 0,
-            cols: 1,
-            rows: 1,
-            nb: 1,
-            min_b: 0,
-            offsets: Vec::new(),
-            idx: Vec::new(),
-        };
-        grid.rebuild(aircraft, cfg);
-        grid
-    }
-
-    /// [`ConflictGrid::build`] in place: recompute geometry and the CSR
-    /// slot table for a new fleet snapshot while reusing the `offsets` /
-    /// `idx` / bucket allocations — the state after a rebuild is
-    /// indistinguishable from a fresh build ([`ScanIndex::refresh`]).
-    pub fn rebuild(&mut self, aircraft: &[Aircraft], cfg: &AtmConfig) {
-        self.bands.rebuild(aircraft, cfg.alt_separation_ft);
-        let n = aircraft.len();
-        let (nb, min_b) = if self.bands.is_degenerate() {
-            (1usize, 0i64)
-        } else {
-            (self.bands.bucket_count(), self.bands.min_bucket)
-        };
-        // The pad restores a strict inequality margin over the gate's
-        // inclusive `<=` compare (and dwarfs the f64 division error).
-        let cell = (cfg.critical_reach_nm() as f64 * 1.000_001).max(cfg.grid_cell_nm as f64);
-
-        // Pick the spatial extent, or fall back to a single catch-all cell
-        // (degenerate inputs, unbucketable positions, or a slot table so
-        // large it would waste memory) — correct at banded cost either way,
-        // since the bucket dimension survives the fallback.
-        let mut spatial = None;
-        if n > 0 && cell.is_finite() && cell > 0.0 {
-            let (mut min_cx, mut max_cx) = (i64::MAX, i64::MIN);
-            let (mut min_cy, mut max_cy) = (i64::MAX, i64::MIN);
-            let mut bucketable = true;
-            for a in aircraft {
-                match (
-                    AltitudeBands::bucket_for(a.x, cell),
-                    AltitudeBands::bucket_for(a.y, cell),
-                ) {
-                    (Some(cx), Some(cy)) => {
-                        min_cx = min_cx.min(cx);
-                        max_cx = max_cx.max(cx);
-                        min_cy = min_cy.min(cy);
-                        max_cy = max_cy.max(cy);
-                    }
-                    _ => {
-                        bucketable = false;
-                        break;
-                    }
-                }
-            }
-            if bucketable {
-                let cols = (max_cx as i128 - min_cx as i128) + 1;
-                let rows = (max_cy as i128 - min_cy as i128) + 1;
-                let cap = (4 * n as i128).max(4_096);
-                if cols * rows <= cap && cols * rows * nb as i128 <= 2 * cap {
-                    spatial = Some((cell, min_cx, min_cy, cols as usize, rows as usize));
-                }
-            }
-        }
-        let (cell_nm, min_cx, min_cy, cols, rows) = spatial.unwrap_or((0.0, 0, 0, 1, 1));
-        self.cell_nm = cell_nm;
-        self.min_cx = min_cx;
-        self.min_cy = min_cy;
-        self.cols = cols;
-        self.rows = rows;
-        self.nb = nb;
-        self.min_b = min_b;
-
-        // Counting-sort into (cell, bucket) slots, bucket fastest-varying;
-        // iteration order keeps indices ascending within each slot.
-        let slots = cols * rows * nb;
-        let bands = &self.bands;
-        let slot_of = |a: &Aircraft| -> usize {
-            let spatial = if cell_nm > 0.0 {
-                let cx = AltitudeBands::bucket_for(a.x, cell_nm).expect("bucketed above");
-                let cy = AltitudeBands::bucket_for(a.y, cell_nm).expect("bucketed above");
-                (cy - min_cy) as usize * cols + (cx - min_cx) as usize
-            } else {
-                0
-            };
-            let b = match bands.bucket_of(a.alt) {
-                Some(b) => (b - min_b) as usize,
-                None => 0, // degenerate bands: everyone shares slot 0
-            };
-            spatial * nb + b
-        };
-        self.offsets.clear();
-        self.offsets.resize(slots + 1, 0);
-        for a in aircraft {
-            self.offsets[slot_of(a) + 1] += 1;
-        }
-        for k in 1..=slots {
-            self.offsets[k] += self.offsets[k - 1];
-        }
-        // Place with `offsets[s]` itself as the running cursor, then undo
-        // the advancement by shifting right — no scratch cursor allocation.
-        self.idx.clear();
-        self.idx.resize(n, 0);
-        for (i, a) in aircraft.iter().enumerate() {
-            let s = slot_of(a);
-            self.idx[self.offsets[s] as usize] = i as u32;
-            self.offsets[s] += 1;
-        }
-        for s in (1..=slots).rev() {
-            self.offsets[s] = self.offsets[s - 1];
-        }
-        self.offsets[0] = 0;
-    }
-
-    /// Half-open cell-coordinate ranges covering `cell(v) ± 1` per axis.
-    fn cell_ranges(&self, x: f32, y: f32) -> (usize, usize, usize, usize) {
-        if self.cell_nm <= 0.0 {
-            return (0, self.cols, 0, self.rows);
-        }
-        let clamp_axis = |c: Option<i64>, min: i64, len: usize| match c {
-            Some(c) => {
-                let lo = (c - 1 - min).clamp(0, len as i64);
-                let hi = (c + 2 - min).clamp(0, len as i64);
-                (lo as usize, hi.max(lo) as usize)
-            }
-            // Unbucketable query position: scan everything (cannot happen
-            // for positions the grid was built from).
-            None => (0, len),
-        };
-        let (x_lo, x_hi) = clamp_axis(
-            AltitudeBands::bucket_for(x, self.cell_nm),
-            self.min_cx,
-            self.cols,
-        );
-        let (y_lo, y_hi) = clamp_axis(
-            AltitudeBands::bucket_for(y, self.cell_nm),
-            self.min_cy,
-            self.rows,
-        );
-        (x_lo, x_hi, y_lo, y_hi)
-    }
-
-    /// Aircraft indices that could pass *both* scan gates against `track`:
-    /// the 3×3 cell neighborhood intersected with altitude bucket ±1 (a
-    /// superset — callers re-check the real f32 gates). Slots are CSR with
-    /// the bucket dimension fastest-varying, so each spatial cell's
-    /// ±1-bucket range is one contiguous `idx` slice found by two offset
-    /// loads — the iteration count is the intersection's size, never the
-    /// looser of the two dimensions alone.
-    pub fn candidates<'g>(&'g self, track: &Aircraft) -> impl Iterator<Item = usize> + 'g {
-        let (x_lo, x_hi, y_lo, y_hi) = self.cell_ranges(track.x, track.y);
-        let (b_lo, b_hi) = match self.bands.bucket_of(track.alt) {
-            Some(tb) => {
-                let lo = (tb - 1 - self.min_b).clamp(0, self.nb as i64) as usize;
-                let hi = (tb + 2 - self.min_b).clamp(0, self.nb as i64) as usize;
-                (lo, hi.max(lo))
-            }
-            // Degenerate bands or unbucketable query altitude: all buckets.
-            None => (0, self.nb),
-        };
-        (y_lo..y_hi)
-            .flat_map(move |cy| (x_lo..x_hi).map(move |cx| cy * self.cols + cx))
-            .flat_map(move |cell| {
-                let base = cell * self.nb;
-                let lo = self.offsets[base + b_lo] as usize;
-                let hi = self.offsets[base + b_hi] as usize;
-                self.idx[lo..hi].iter().map(|&i| i as usize)
-            })
-    }
-
-    /// Number of spatial cells (1 for the degenerate fallback).
-    pub fn cell_count(&self) -> usize {
-        self.cols * self.rows
-    }
-
-    /// The composed altitude-band index.
-    pub fn bands(&self) -> &AltitudeBands {
-        &self.bands
-    }
-}
-
 /// The per-execution candidate source selected by [`AtmConfig::scan`].
 ///
 /// Backends build one with [`ScanIndex::for_config`] at the top of a detect
@@ -429,24 +21,19 @@ impl ConflictGrid {
 /// change during Tasks 2+3, so the index stays valid across every rotation
 /// rescan of every aircraft.
 ///
-/// All routing over the variants lives here: [`ScanIndex::candidates`] is
+/// All routing over the variants lives here: [`ScanIndex::candidates_into`] is
 /// the one enumeration seam the scan kernel, the wave scheduler and the AP
 /// responder masks all share.
 #[derive(Clone, Debug)]
 pub enum ScanIndex {
     /// No index: the naive O(n²) scan (the seed path).
     Naive,
-    /// Altitude-band index ([`ScanMode::Banded`]).
-    Banded(AltitudeBands),
-    /// Spatial grid composed with altitude bands ([`ScanMode::Grid`]).
-    Grid(ConflictGrid),
-    /// Dirty-cell grid sized from the measured fleet envelope
-    /// ([`ScanMode::Incremental`]). As a stateless per-execution index this
-    /// is a fresh all-dirty build, enumeration-equivalent to `Grid`; the
-    /// cross-rescan persistence and replay cache live in
+    /// Spatial grid composed with altitude bands ([`ScanMode::Grid`]): a
+    /// fresh all-dirty [`IncrementalGrid`] build. The cross-rescan
+    /// persistence and replay cache live in
     /// [`crate::detect::IncrementalEngine`], which the persistent backends
     /// own directly.
-    Incremental(IncrementalGrid),
+    Grid(IncrementalGrid),
     /// Geographic shards with boundary halos ([`AtmConfig::shards`] > 1);
     /// composes the shard partition with `cfg.scan` per shard.
     Sharded(ShardedIndex),
@@ -462,55 +49,32 @@ impl ScanIndex {
         }
         match cfg.scan {
             ScanMode::Naive => ScanIndex::Naive,
-            ScanMode::Banded => {
-                ScanIndex::Banded(AltitudeBands::build(aircraft, cfg.alt_separation_ft))
-            }
-            ScanMode::Grid => ScanIndex::Grid(ConflictGrid::build(aircraft, cfg)),
-            ScanMode::Incremental => ScanIndex::Incremental(IncrementalGrid::build(aircraft, cfg)),
+            ScanMode::Grid => ScanIndex::Grid(IncrementalGrid::build(aircraft, cfg)),
         }
     }
 
-    /// Bring an existing index up to date for a new fleet snapshot,
-    /// rebuilding in place (reusing allocations) when the variant already
-    /// matches what `cfg` selects, and falling back to a fresh
-    /// [`ScanIndex::for_config`] on any variant change. The refreshed index
-    /// is indistinguishable from a freshly built one.
-    pub fn refresh(&mut self, aircraft: &[Aircraft], cfg: &AtmConfig) {
-        if cfg.shards > 1 {
-            // The sharded composite rebuilds wholesale: its nested
-            // per-shard indexes are rebuilt by `ShardedIndex::build`.
-            *self = ScanIndex::Sharded(ShardedIndex::build(aircraft, cfg));
-            return;
-        }
-        match (&mut *self, cfg.scan) {
-            (ScanIndex::Naive, ScanMode::Naive) => {}
-            (ScanIndex::Banded(b), ScanMode::Banded) => b.rebuild(aircraft, cfg.alt_separation_ft),
-            (ScanIndex::Grid(g), ScanMode::Grid) => g.rebuild(aircraft, cfg),
-            (ScanIndex::Incremental(g), ScanMode::Incremental) => {
-                g.update(aircraft, cfg);
-            }
-            _ => *self = ScanIndex::for_config(aircraft, cfg),
-        }
-    }
-
-    /// Global candidate ids for track aircraft `i` out of a fleet of `n`: a
-    /// superset of every aircraft that could pass both pair gates against
-    /// `track` (callers re-check the real f32 gates, so a generous source
-    /// can never change a result — only waste a visit). The self index `i`
-    /// may or may not appear; consumers skip it.
-    pub fn candidates<'a>(
-        &'a self,
-        i: usize,
-        track: &'a Aircraft,
-        n: usize,
-    ) -> Box<dyn Iterator<Item = usize> + 'a> {
+    /// Gather the global candidate ids for track aircraft `i` out of a
+    /// fleet of `n` into `out`, cleared first: a superset of every aircraft
+    /// that could pass both pair gates against `track` (callers re-check
+    /// the real f32 gates, so a generous source can never change a result —
+    /// only waste a visit). The self index `i` may or may not appear;
+    /// consumers skip it.
+    pub fn candidates_into(&self, i: usize, track: &Aircraft, n: usize, out: &mut Vec<u32>) {
         match self {
-            ScanIndex::Naive => Box::new(0..n),
-            ScanIndex::Banded(b) => Box::new(b.candidates(track.alt)),
-            ScanIndex::Grid(g) => Box::new(g.candidates(track)),
-            ScanIndex::Incremental(g) => Box::new(g.candidates(track)),
-            ScanIndex::Sharded(s) => s.candidates_for(i, track),
+            ScanIndex::Naive => {
+                out.clear();
+                out.extend(0..n as u32);
+            }
+            ScanIndex::Grid(g) => g.candidates_into(track, out),
+            ScanIndex::Sharded(s) => s.candidates_into(i, track, out),
         }
+    }
+
+    /// [`ScanIndex::candidates_into`] as an iterator over a fresh buffer.
+    pub fn candidates(&self, i: usize, track: &Aircraft, n: usize) -> impl Iterator<Item = usize> {
+        let mut out = Vec::new();
+        self.candidates_into(i, track, n, &mut out);
+        out.into_iter().map(|p| p as usize)
     }
 
     /// The candidate set of track `i` as an associative responder mask, or

@@ -95,71 +95,25 @@ pub fn scan_pairs(
     sink: &mut impl CostSink,
 ) -> ScanResult {
     let track = &aircraft[i];
+    if !matches!(index, ScanIndex::Naive) {
+        let n = aircraft.len();
+        let candidates = index.candidates(i, track, n);
+        return scan_candidates(aircraft, None, i, n, vel, cfg, candidates, sink);
+    }
     let reach = cfg.critical_reach_nm();
     let mut earliest: Option<(usize, f32)> = None;
     let mut checks = 0u64;
-    if matches!(index, ScanIndex::Naive) {
-        for (p, trial) in aircraft.iter().enumerate() {
-            sink.ialu(1);
-            sink.branch(false);
-            if p == i {
-                continue;
-            }
-            // Every track thread walks the same shared aircraft array.
-            sink.load_shared(Aircraft::RECORD_BYTES);
-            let same_band = same_altitude_band(track, trial, cfg.alt_separation_ft, sink);
-            let in_reach = within_critical_reach(track, trial, reach, sink);
-            if !(same_band && in_reach) {
-                continue;
-            }
-            checks += 1;
-            fold_window(track, vel, trial, p, cfg, sink, &mut earliest);
-        }
-    } else {
-        return scan_candidates_booked_inner(
-            aircraft,
-            i,
-            vel,
-            cfg,
-            index.candidates(i, track, aircraft.len()),
-            sink,
-        );
-    }
-    ScanResult {
-        critical: earliest,
-        checks,
-    }
-}
-
-/// The pruning-source half of [`scan_pairs`]: book the full unconditional
-/// mix in aggregate, then visit only the given candidate superset,
-/// re-checking the real f32 gates against a null sink (their cost is
-/// already in the aggregate). Shared by every pruning enumerator —
-/// including the incremental dirty-cell source, whose live rescans must
-/// book exactly what a full-rebuild grid scan would.
-fn scan_candidates_booked_inner(
-    aircraft: &[Aircraft],
-    i: usize,
-    vel: (f32, f32),
-    cfg: &AtmConfig,
-    candidates: impl Iterator<Item = usize>,
-    sink: &mut impl CostSink,
-) -> ScanResult {
-    let track = &aircraft[i];
-    let reach = cfg.critical_reach_nm();
-    let mut earliest: Option<(usize, f32)> = None;
-    let mut checks = 0u64;
-    book_unconditional_mix(aircraft.len() as u64, sink);
-    for p in candidates {
+    for (p, trial) in aircraft.iter().enumerate() {
+        sink.ialu(1);
+        sink.branch(false);
         if p == i {
             continue;
         }
-        let trial = &aircraft[p];
-        // Re-check the real f32 gates (candidates are a superset); their
-        // cost is already in the aggregate above, so book to a null sink.
-        if !same_altitude_band(track, trial, cfg.alt_separation_ft, &mut NullSink)
-            || !within_critical_reach(track, trial, reach, &mut NullSink)
-        {
+        // Every track thread walks the same shared aircraft array.
+        sink.load_shared(Aircraft::RECORD_BYTES);
+        let same_band = same_altitude_band(track, trial, cfg.alt_separation_ft, sink);
+        let in_reach = within_critical_reach(track, trial, reach, sink);
+        if !(same_band && in_reach) {
             continue;
         }
         checks += 1;
@@ -171,52 +125,34 @@ fn scan_candidates_booked_inner(
     }
 }
 
-/// [`scan_pairs`]' pruning-source scan over an explicit candidate slice:
-/// the *booked* sibling of [`scan_candidate_list`]. Identical result,
-/// check count and sink totals to running [`scan_pairs`] over any pruning
-/// [`ScanIndex`] that enumerates a candidate superset with the same
-/// gate-passer set — the primitive the incremental engine's live rescans
-/// are built on.
-pub fn scan_candidate_list_booked(
-    aircraft: &[Aircraft],
-    i: usize,
-    vel: (f32, f32),
-    cfg: &AtmConfig,
-    candidates: &[u32],
-    sink: &mut impl CostSink,
-) -> ScanResult {
-    scan_candidates_booked_inner(
-        aircraft,
-        i,
-        vel,
-        cfg,
-        candidates.iter().map(|&p| p as usize),
-        sink,
-    )
-}
-
-/// The shard-worker sibling of [`scan_candidate_list_booked`]: scan a track
-/// held in a shard's gathered *member* records (owned + halo, as exported
-/// by `ShardedIndex` / the wire codec) against local candidate ids,
-/// reporting **global** ids and booking the aggregate mix of the global
-/// fleet size `global_n`.
+/// The pruning-source scan every caller outside the naive reference path
+/// shares: book the full unconditional mix of a `global_n` fleet in
+/// aggregate, then visit only the given candidate superset, re-checking
+/// the real f32 gates against a null sink (their cost is already in the
+/// aggregate) and folding gate-passers into the earliest-critical
+/// selection.
 ///
-/// `recs[l]` must be the record of global aircraft `members[l]` and `li`
-/// the track's local position. Because the aggregate booking depends only
-/// on the global fleet size, and the earliest-critical fold is the
-/// order-independent lexicographic minimum over global `(tmin, p)`, a
-/// worker holding only its member slice produces the exact result, check
-/// count and sink totals the in-process scan produces from the full fleet —
-/// the property that makes the process-per-shard transport byte-identical.
-#[allow(clippy::too_many_arguments)] // the in-process signature + (members, global_n)
-pub fn scan_member_list_booked(
+/// `recs[li]` is the track; candidates are positions in `recs`. With
+/// `ids = None`, `recs` is the whole fleet and positions are global ids.
+/// A shard worker passes its gathered *member* records (owned + halo, as
+/// exported by `ShardedIndex` / the wire codec) with `ids = Some(members)`,
+/// `recs[l]` being the record of global aircraft `members[l]`; conflicts
+/// are reported by global id. Because the aggregate booking depends only
+/// on `global_n`, and the fold is the order-independent lexicographic
+/// minimum over global `(tmin, p)`, any candidate superset — a grid
+/// neighborhood, a member slice, or one chunk of a split enumeration merged
+/// via [`ScanResult::merge`] — yields the exact result, check count and
+/// sink totals of [`scan_pairs`]. Measured callers, whose cost is real wall
+/// time, pass a [`NullSink`].
+#[allow(clippy::too_many_arguments)] // the fleet view (recs, ids, li, global_n) + the scan
+pub fn scan_candidates(
     recs: &[Aircraft],
-    members: &[u32],
+    ids: Option<&[u32]>,
     li: usize,
     global_n: usize,
     vel: (f32, f32),
     cfg: &AtmConfig,
-    candidates: &[u32],
+    candidates: impl IntoIterator<Item = usize>,
     sink: &mut impl CostSink,
 ) -> ScanResult {
     let track = &recs[li];
@@ -224,8 +160,7 @@ pub fn scan_member_list_booked(
     let mut earliest: Option<(usize, f32)> = None;
     let mut checks = 0u64;
     book_unconditional_mix(global_n as u64, sink);
-    for &lp in candidates {
-        let lp = lp as usize;
+    for lp in candidates {
         if lp == li {
             continue;
         }
@@ -236,91 +171,13 @@ pub fn scan_member_list_booked(
             continue;
         }
         checks += 1;
-        fold_window(
-            track,
-            vel,
-            trial,
-            members[lp] as usize,
-            cfg,
-            sink,
-            &mut earliest,
-        );
+        let p = ids.map_or(lp, |ids| ids[lp] as usize);
+        fold_window(track, vel, trial, p, cfg, sink, &mut earliest);
     }
     ScanResult {
         critical: earliest,
         checks,
     }
-}
-
-/// The shared gate-and-fold body of the partial-scan primitives: visit the
-/// given candidates, apply both pair gates, fold survivors into the running
-/// earliest-critical selection. No cost booking — the partial scans exist
-/// for *measured* backends, whose cost is real wall time; modeled paths go
-/// through [`scan_pairs`].
-fn scan_candidates_unbooked(
-    aircraft: &[Aircraft],
-    i: usize,
-    vel: (f32, f32),
-    cfg: &AtmConfig,
-    candidates: impl Iterator<Item = usize>,
-) -> ScanResult {
-    let track = &aircraft[i];
-    let reach = cfg.critical_reach_nm();
-    let mut earliest: Option<(usize, f32)> = None;
-    let mut checks = 0u64;
-    for p in candidates {
-        if p == i {
-            continue;
-        }
-        let trial = &aircraft[p];
-        if !same_altitude_band(track, trial, cfg.alt_separation_ft, &mut NullSink)
-            || !within_critical_reach(track, trial, reach, &mut NullSink)
-        {
-            continue;
-        }
-        checks += 1;
-        fold_window(track, vel, trial, p, cfg, &mut NullSink, &mut earliest);
-    }
-    ScanResult {
-        critical: earliest,
-        checks,
-    }
-}
-
-/// Partial naive scan over one contiguous index subrange: the same gates,
-/// fold rule and check counting as [`scan_pairs`] over `ScanIndex::Naive`,
-/// restricted to `range`. Merging the per-range results of a disjoint cover
-/// of `0..n` via [`ScanResult::merge`] reproduces the full scan exactly —
-/// the chunk primitive of the measured thread-pool backend.
-pub fn scan_pair_range(
-    aircraft: &[Aircraft],
-    i: usize,
-    vel: (f32, f32),
-    cfg: &AtmConfig,
-    range: std::ops::Range<usize>,
-) -> ScanResult {
-    scan_candidates_unbooked(aircraft, i, vel, cfg, range)
-}
-
-/// Partial pruned scan over an explicit candidate slice (as produced by
-/// [`ScanIndex::candidates`], in any order): the pruning-source half of
-/// [`scan_pairs`] without the aggregate cost booking. Splitting one
-/// enumeration across slices and merging via [`ScanResult::merge`]
-/// reproduces the full scan exactly.
-pub fn scan_candidate_list(
-    aircraft: &[Aircraft],
-    i: usize,
-    vel: (f32, f32),
-    cfg: &AtmConfig,
-    candidates: &[u32],
-) -> ScanResult {
-    scan_candidates_unbooked(
-        aircraft,
-        i,
-        vel,
-        cfg,
-        candidates.iter().map(|&p| p as usize),
-    )
 }
 
 /// Rotate a velocity vector by `angle` radians (the Task 3 course change).
@@ -357,8 +214,31 @@ pub fn check_collision_path_with(
     cfg: &AtmConfig,
     sink: &mut impl CostSink,
 ) -> DetectStats {
+    check_collision_path_gathered(aircraft, index, i, cfg, sink, &mut Vec::new())
+}
+
+/// [`check_collision_path_with`] gathering candidates into a caller-owned
+/// buffer, so a driver looping over the fleet allocates it once.
+fn check_collision_path_gathered(
+    aircraft: &mut [Aircraft],
+    index: &ScanIndex,
+    i: usize,
+    cfg: &AtmConfig,
+    sink: &mut impl CostSink,
+    cands: &mut Vec<u32>,
+) -> DetectStats {
+    if matches!(index, ScanIndex::Naive) {
+        return check_collision_path_scanned(aircraft, i, cfg, sink, |ac, i, vel, sink| {
+            scan_pairs(ac, index, i, vel, cfg, sink)
+        });
+    }
+    // Candidates depend only on positions and altitudes, which the cascade
+    // never changes: gather them once for every rotation rescan.
+    let n = aircraft.len();
+    index.candidates_into(i, &aircraft[i], n, cands);
     check_collision_path_scanned(aircraft, i, cfg, sink, |ac, i, vel, sink| {
-        scan_pairs(ac, index, i, vel, cfg, sink)
+        let cands = cands.iter().map(|&p| p as usize);
+        scan_candidates(ac, None, i, n, vel, cfg, cands, sink)
     })
 }
 
@@ -498,23 +378,11 @@ pub fn detect_resolve_all(
     sink: &mut impl CostSink,
 ) -> DetectStats {
     let index = ScanIndex::for_config(aircraft, cfg);
-    detect_resolve_indexed(aircraft, &index, cfg, sink)
-}
-
-/// [`detect_resolve_all`] over a caller-owned [`ScanIndex`]: the driver
-/// loop without the index build, so backends that keep an index alive
-/// across rescans ([`ScanIndex::refresh`]) skip the per-rescan allocation
-/// churn. The index must describe the current fleet (same positions,
-/// altitudes and length).
-pub fn detect_resolve_indexed(
-    aircraft: &mut [Aircraft],
-    index: &ScanIndex,
-    cfg: &AtmConfig,
-    sink: &mut impl CostSink,
-) -> DetectStats {
     let mut total = DetectStats::default();
+    let mut cands = Vec::new();
     for i in 0..aircraft.len() {
-        total.absorb(&check_collision_path_with(aircraft, index, i, cfg, sink));
+        let stats = check_collision_path_gathered(aircraft, &index, i, cfg, sink, &mut cands);
+        total.absorb(&stats);
     }
     total
 }

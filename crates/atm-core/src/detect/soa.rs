@@ -179,7 +179,7 @@ impl SoaFleet {
 
     /// One full SoA scan of aircraft `i` (trial velocity `vel`) against a
     /// contiguous index range — the naive enumeration. Result-identical to
-    /// [`crate::detect::scan_pair_range`].
+    /// [`crate::detect::scan_candidates`] over the same range.
     pub fn scan_range(
         &self,
         i: usize,
@@ -199,7 +199,8 @@ impl SoaFleet {
     }
 
     /// One full SoA scan of aircraft `i` over a pruning source's candidate
-    /// list. Result-identical to [`crate::detect::scan_candidate_list`].
+    /// list. Result-identical to [`crate::detect::scan_candidates`] over the
+    /// same list.
     pub fn scan_candidates(
         &self,
         i: usize,
@@ -223,8 +224,9 @@ impl SoaFleet {
 mod tests {
     use super::*;
     use crate::airfield::Airfield;
-    use crate::detect::kernel::{scan_candidate_list, scan_pair_range};
+    use crate::detect::kernel::scan_candidates;
     use crate::detect::ScanIndex;
+    use sim_clock::NullSink;
 
     fn fleet(n: usize, seed: u64) -> (Vec<Aircraft>, AtmConfig) {
         let field = Airfield::with_seed(n, seed);
@@ -239,7 +241,16 @@ mod tests {
         let mut scratch = Vec::new();
         for i in [0usize, 1, 350, 699] {
             let vel = (ac[i].dx, ac[i].dy);
-            let aos = scan_pair_range(&ac, i, vel, &cfg, 0..ac.len());
+            let aos = scan_candidates(
+                &ac,
+                None,
+                i,
+                ac.len(),
+                vel,
+                &cfg,
+                0..ac.len(),
+                &mut NullSink,
+            );
             let got = soa.scan_range(i, vel, &cfg, 0..ac.len(), &mut scratch);
             assert_eq!(got, aos, "i={i}");
         }
@@ -248,12 +259,9 @@ mod tests {
     #[test]
     fn soa_candidate_scan_matches_over_every_index_kind() {
         let (ac, mut cfg) = fleet(500, 7);
-        for scan in [
-            crate::config::ScanMode::Banded,
-            crate::config::ScanMode::Grid,
-            crate::config::ScanMode::Incremental,
-        ] {
-            cfg.scan = scan;
+        cfg.scan = crate::config::ScanMode::Grid;
+        for shards in [1usize, 4] {
+            cfg.shards = shards;
             let index = ScanIndex::for_config(&ac, &cfg);
             let soa = SoaFleet::from_aircraft(&ac);
             let mut scratch = Vec::new();
@@ -263,9 +271,10 @@ mod tests {
                     .map(|p| p as u32)
                     .collect();
                 let vel = (ac[i].dx, ac[i].dy);
-                let aos = scan_candidate_list(&ac, i, vel, &cfg, &cands);
+                let ids = cands.iter().map(|&p| p as usize);
+                let aos = scan_candidates(&ac, None, i, ac.len(), vel, &cfg, ids, &mut NullSink);
                 let got = soa.scan_candidates(i, vel, &cfg, &cands, &mut scratch);
-                assert_eq!(got, aos, "{scan:?} i={i}");
+                assert_eq!(got, aos, "shards={shards} i={i}");
             }
         }
     }
@@ -282,7 +291,16 @@ mod tests {
         soa.set_velocity(5, (ac[5].dx, ac[5].dy));
         for i in [0usize, 5, 77, 299] {
             let vel = (ac[i].dx, ac[i].dy);
-            let aos = scan_pair_range(&ac, i, vel, &cfg, 0..ac.len());
+            let aos = scan_candidates(
+                &ac,
+                None,
+                i,
+                ac.len(),
+                vel,
+                &cfg,
+                0..ac.len(),
+                &mut NullSink,
+            );
             let got = soa.scan_range(i, vel, &cfg, 0..ac.len(), &mut scratch);
             assert_eq!(got, aos, "i={i}");
         }

@@ -208,61 +208,60 @@ fn assert_scan_matches_naive(ac: &[Aircraft], index: &ScanIndex, c: &AtmConfig, 
 }
 
 #[test]
-fn banded_scan_matches_naive_scan_exactly() {
-    let ac = banded_fleet();
-    let index = ScanIndex::Banded(AltitudeBands::build(&ac, cfg().alt_separation_ft));
-    assert_scan_matches_naive(&ac, &index, &cfg(), "banded");
-}
-
-#[test]
 fn grid_scan_matches_naive_scan_exactly() {
-    let ac = banded_fleet();
-    let index = ScanIndex::Grid(ConflictGrid::build(&ac, &cfg()));
-    assert_scan_matches_naive(&ac, &index, &cfg(), "grid");
-}
-
-#[test]
-fn fast_path_detect_resolve_matches_naive_end_to_end() {
-    let run = |mode: ScanMode| {
-        let mut ac = banded_fleet();
-        let mut ops = sim_clock::OpCounter::new();
-        let c = AtmConfig {
-            scan: mode,
-            ..cfg()
-        };
-        let s = detect_resolve_all(&mut ac, &c, &mut ops);
-        (ac, s, ops)
-    };
-    let naive = run(ScanMode::Naive);
-    for mode in [ScanMode::Banded, ScanMode::Grid, ScanMode::Incremental] {
-        let fast = run(mode);
-        assert_eq!(
-            naive.0, fast.0,
-            "{mode:?}: mutated fleets must be identical"
-        );
-        assert_eq!(naive.1, fast.1, "{mode:?}: DetectStats must be identical");
-        assert_eq!(naive.2, fast.2, "{mode:?}: cost totals must be identical");
+    for ac in [banded_fleet(), spread_fleet()] {
+        let index = ScanIndex::Grid(IncrementalGrid::build(&ac, &cfg()));
+        assert_scan_matches_naive(&ac, &index, &cfg(), "grid");
     }
-    assert!(
-        naive.1.critical_conflicts > 0,
-        "fleet should have conflicts"
-    );
 }
 
 #[test]
-fn bands_prune_candidates_but_cover_all_gate_passers() {
+fn grid_detect_resolve_matches_naive_end_to_end() {
+    let mut conflicts = 0;
+    for fleet in [banded_fleet(), spread_fleet()] {
+        let run = |scan: ScanMode| {
+            let mut ac = fleet.clone();
+            let mut ops = sim_clock::OpCounter::new();
+            let s = detect_resolve_all(&mut ac, &AtmConfig { scan, ..cfg() }, &mut ops);
+            (ac, s, ops)
+        };
+        let naive = run(ScanMode::Naive);
+        conflicts += naive.1.critical_conflicts;
+        // Mutated fleets, DetectStats and cost totals must all match.
+        assert_eq!(naive, run(ScanMode::Grid));
+    }
+    assert!(conflicts > 0, "the fleets should have conflicts");
+}
+
+/// A grid's gathered candidates for `track`.
+fn grid_candidates(grid: &IncrementalGrid, track: &Aircraft) -> Vec<usize> {
+    let mut buf = Vec::new();
+    grid.candidates_into(track, &mut buf);
+    buf.iter().map(|&p| p as usize).collect()
+}
+
+/// Whether `cands` holds every partner of track `i` that passes both
+/// pair gates.
+fn covers_gate_passers(ac: &[Aircraft], i: usize, cands: &[usize], c: &AtmConfig) -> bool {
+    let reach = c.critical_reach_nm();
+    (0..ac.len()).all(|p| {
+        let both_gates = (ac[i].alt - ac[p].alt).abs() < c.alt_separation_ft
+            && (ac[i].x - ac[p].x).abs() <= reach
+            && (ac[i].y - ac[p].y).abs() <= reach;
+        p == i || !both_gates || cands.contains(&p)
+    })
+}
+
+#[test]
+fn grid_altitude_buckets_prune_but_cover_all_gate_passers() {
+    // The banded fleet sits inside one cell neighborhood: every pruned
+    // candidate is pruned by the altitude dimension alone.
     let ac = banded_fleet();
-    let sep = cfg().alt_separation_ft;
-    let bands = AltitudeBands::build(&ac, sep);
-    assert!(bands.bucket_count() > 1, "fleet spans several bands");
+    let grid = IncrementalGrid::build(&ac, &cfg());
     for i in 0..ac.len() {
-        let cands: Vec<usize> = bands.candidates(ac[i].alt).collect();
-        assert!(cands.len() < ac.len(), "banding should prune aircraft {i}");
-        for p in 0..ac.len() {
-            if p != i && (ac[i].alt - ac[p].alt).abs() < sep {
-                assert!(cands.contains(&p), "gate-passing pair ({i},{p}) missed");
-            }
-        }
+        let cands = grid_candidates(&grid, &ac[i]);
+        assert!(cands.len() < ac.len(), "buckets should prune aircraft {i}");
+        assert!(covers_gate_passers(&ac, i, &cands, &cfg()), "track {i}");
     }
 }
 
@@ -270,32 +269,34 @@ fn bands_prune_candidates_but_cover_all_gate_passers() {
 fn degenerate_band_width_falls_back_to_one_bucket() {
     let ac = banded_fleet();
     for width in [0.0_f32, -5.0, f32::NAN, f32::INFINITY] {
-        let bands = AltitudeBands::build(&ac, width);
-        assert_eq!(bands.bucket_count(), 1);
-        assert_eq!(bands.candidates(ac[0].alt).count(), ac.len());
+        let c = AtmConfig {
+            alt_separation_ft: width,
+            ..cfg()
+        };
+        let grid = IncrementalGrid::build(&ac, &c);
+        assert_eq!(
+            grid_candidates(&grid, &ac[0]).len(),
+            ac.len(),
+            "width {width}"
+        );
     }
-    assert_eq!(AltitudeBands::build(&[], 1_000.0).bucket_count(), 1);
+    assert_eq!(IncrementalGrid::build(&[], &cfg()).slot_count(), 1);
 }
 
 #[test]
 fn detect_only_fast_paths_match_naive() {
     let base = banded_fleet();
-    let indices = [
-        ScanIndex::Banded(AltitudeBands::build(&base, cfg().alt_separation_ft)),
-        ScanIndex::Grid(ConflictGrid::build(&base, &cfg())),
-    ];
-    for index in &indices {
-        for i in 0..base.len() {
-            let mut an = base.clone();
-            let mut af = base.clone();
-            let mut cn = sim_clock::OpCounter::new();
-            let mut cf = sim_clock::OpCounter::new();
-            let sn = detect_only(&mut an, i, &cfg(), &mut cn);
-            let sf = detect_only_with(&mut af, index, i, &cfg(), &mut cf);
-            assert_eq!(sn, sf);
-            assert_eq!(an, af);
-            assert_eq!(cn, cf);
-        }
+    let index = ScanIndex::Grid(IncrementalGrid::build(&base, &cfg()));
+    for i in 0..base.len() {
+        let mut an = base.clone();
+        let mut af = base.clone();
+        let mut cn = sim_clock::OpCounter::new();
+        let mut cf = sim_clock::OpCounter::new();
+        let sn = detect_only(&mut an, i, &cfg(), &mut cn);
+        let sf = detect_only_with(&mut af, &index, i, &cfg(), &mut cf);
+        assert_eq!(sn, sf);
+        assert_eq!(an, af);
+        assert_eq!(cn, cf);
     }
 }
 
@@ -320,89 +321,40 @@ fn spread_fleet() -> Vec<Aircraft> {
 fn grid_prunes_candidates_but_covers_all_gate_passers() {
     let ac = spread_fleet();
     let c = cfg();
-    let grid = ConflictGrid::build(&ac, &c);
-    assert!(grid.cell_count() > 1, "fleet spans several cells");
-    let reach = c.critical_reach_nm();
+    let grid = IncrementalGrid::build(&ac, &c);
     let mut pruned_somewhere = false;
     for i in 0..ac.len() {
-        let cands: Vec<usize> = grid.candidates(&ac[i]).collect();
+        let cands = grid_candidates(&grid, &ac[i]);
         pruned_somewhere |= cands.len() < ac.len();
-        for p in 0..ac.len() {
-            let both_gates = (ac[i].alt - ac[p].alt).abs() < c.alt_separation_ft
-                && (ac[i].x - ac[p].x).abs() <= reach
-                && (ac[i].y - ac[p].y).abs() <= reach;
-            if p != i && both_gates {
-                assert!(cands.contains(&p), "gate-passing pair ({i},{p}) missed");
-            }
-        }
+        assert!(covers_gate_passers(&ac, i, &cands, &c), "track {i}");
     }
     assert!(pruned_somewhere, "grid should prune at least one scan");
 }
 
 #[test]
-fn grid_detect_resolve_matches_naive_on_a_spread_fleet() {
-    let run = |mode: ScanMode| {
-        let mut ac = spread_fleet();
-        let mut ops = sim_clock::OpCounter::new();
-        let c = AtmConfig {
-            scan: mode,
-            ..cfg()
-        };
-        let s = detect_resolve_all(&mut ac, &c, &mut ops);
-        (ac, s, ops)
-    };
-    let naive = run(ScanMode::Naive);
-    let grid = run(ScanMode::Grid);
-    assert_eq!(naive, grid);
-}
-
-#[test]
 fn degenerate_grid_falls_back_to_one_cell() {
-    let ac = spread_fleet();
-    // Non-finite reach (degenerate separation) → one catch-all cell.
+    let grid_matches_naive = |ac: &[Aircraft], c: &AtmConfig| {
+        let index = ScanIndex::Grid(IncrementalGrid::build(ac, c));
+        for i in 0..ac.len() {
+            let cands: Vec<usize> = index.candidates(i, &ac[i], ac.len()).collect();
+            assert!(covers_gate_passers(ac, i, &cands, c), "track {i}");
+        }
+        assert_scan_matches_naive(ac, &index, c, "degenerate grid");
+    };
+    // Non-finite reach (degenerate separation) → one catch-all cell, still
+    // altitude-filtered through the buckets.
     let c = AtmConfig {
         separation_nm: f32::NAN,
         ..cfg()
     };
-    let grid = ConflictGrid::build(&ac, &c);
-    assert_eq!(grid.cell_count(), 1);
-    // Candidates still altitude-filtered through the composed bands.
-    assert!(grid.candidates(&ac[0]).count() <= ac.len());
+    let ac = spread_fleet();
+    let grid = IncrementalGrid::build(&ac, &c);
+    assert!(grid_candidates(&grid, &ac[0]).len() < ac.len());
+    grid_matches_naive(&ac, &c);
     // Non-finite positions → unbucketable → one catch-all cell.
     let mut bad = ac.clone();
     bad[3].x = f32::NAN;
-    let grid = ConflictGrid::build(&bad, &cfg());
-    assert_eq!(grid.cell_count(), 1);
-    assert_eq!(ConflictGrid::build(&[], &cfg()).cell_count(), 1);
-}
-
-#[test]
-fn explicit_cell_size_only_coarsens_the_grid() {
-    let ac = spread_fleet();
-    let auto = ConflictGrid::build(&ac, &cfg());
-    // A finer request than the envelope is clamped up to it.
-    let fine = ConflictGrid::build(
-        &ac,
-        &AtmConfig {
-            grid_cell_nm: 1.0,
-            ..cfg()
-        },
-    );
-    assert_eq!(fine.cell_count(), auto.cell_count());
-    // A coarser request is honored and still covers every pair.
-    let coarse_cfg = AtmConfig {
-        grid_cell_nm: 200.0,
-        scan: ScanMode::Grid,
-        ..cfg()
-    };
-    let coarse = ConflictGrid::build(&ac, &coarse_cfg);
-    assert!(coarse.cell_count() <= auto.cell_count());
-    let mut a1 = ac.clone();
-    let mut a2 = ac.clone();
-    let s1 = detect_resolve_all(&mut a1, &cfg(), &mut NullSink);
-    let s2 = detect_resolve_all(&mut a2, &coarse_cfg, &mut NullSink);
-    assert_eq!(s1, s2);
-    assert_eq!(a1, a2);
+    grid_matches_naive(&bad, &cfg());
 }
 
 #[test]
@@ -410,7 +362,6 @@ fn scan_index_follows_the_config() {
     let ac = banded_fleet();
     let for_mode = |m| ScanIndex::for_config(&ac, &AtmConfig { scan: m, ..cfg() });
     assert!(matches!(for_mode(ScanMode::Naive), ScanIndex::Naive));
-    assert!(matches!(for_mode(ScanMode::Banded), ScanIndex::Banded(_)));
     assert!(matches!(for_mode(ScanMode::Grid), ScanIndex::Grid(_)));
     let sharded = ScanIndex::for_config(&ac, &AtmConfig { shards: 4, ..cfg() });
     assert!(matches!(sharded, ScanIndex::Sharded(_)));
@@ -419,12 +370,7 @@ fn scan_index_follows_the_config() {
 #[test]
 fn sharded_scan_matches_naive_scan_exactly() {
     for fleet in [banded_fleet(), spread_fleet()] {
-        for scan in [
-            ScanMode::Naive,
-            ScanMode::Banded,
-            ScanMode::Grid,
-            ScanMode::Incremental,
-        ] {
+        for scan in [ScanMode::Naive, ScanMode::Grid] {
             let c = AtmConfig {
                 shards: 4,
                 scan,
@@ -451,12 +397,7 @@ fn sharded_detect_resolve_matches_naive_end_to_end() {
     };
     let naive = run(1, ScanMode::Naive);
     for shards in [2usize, 4] {
-        for mode in [
-            ScanMode::Naive,
-            ScanMode::Banded,
-            ScanMode::Grid,
-            ScanMode::Incremental,
-        ] {
+        for mode in [ScanMode::Naive, ScanMode::Grid] {
             let sharded = run(shards, mode);
             assert_eq!(
                 naive.0, sharded.0,
@@ -482,8 +423,7 @@ fn responder_mask_mirrors_the_candidate_set() {
     let c = cfg();
     let sources = [
         ScanIndex::Naive,
-        ScanIndex::Banded(AltitudeBands::build(&ac, c.alt_separation_ft)),
-        ScanIndex::Grid(ConflictGrid::build(&ac, &c)),
+        ScanIndex::Grid(IncrementalGrid::build(&ac, &c)),
         ScanIndex::Sharded(crate::shard::ShardedIndex::build(
             &ac,
             &AtmConfig { shards: 4, ..cfg() },
@@ -517,8 +457,7 @@ fn owner_routing_is_trivial_for_unsharded_sources() {
     let c = cfg();
     for index in [
         ScanIndex::Naive,
-        ScanIndex::Banded(AltitudeBands::build(&ac, c.alt_separation_ft)),
-        ScanIndex::Grid(ConflictGrid::build(&ac, &c)),
+        ScanIndex::Grid(IncrementalGrid::build(&ac, &c)),
     ] {
         assert_eq!(index.shard_count(), 1);
         assert!((0..ac.len()).all(|i| index.owner_of(i) == 0));

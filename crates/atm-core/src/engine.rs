@@ -430,11 +430,11 @@ mod tests {
     }
 
     #[test]
-    fn ingested_updates_steer_the_incremental_engine_correctly() {
+    fn ingested_updates_steer_the_grid_engine_correctly() {
         // Adversarial check for the ingest path: external mutations through
         // `apply_updates` (including cell-crossing teleports) must leave the
-        // persistent incremental engine bit-identical to a from-scratch Grid
-        // scan of the same fleet, across several ingest/step rounds.
+        // persistent grid engine bit-identical to a from-scratch naive scan
+        // of the same fleet, across several ingest/step rounds.
         let run = |scan: ScanMode| {
             let mut cfg = AtmConfig::with_seed(23);
             cfg.scan = scan;
@@ -465,9 +465,9 @@ mod tests {
             out
         };
         assert_eq!(
-            run(ScanMode::Incremental),
             run(ScanMode::Grid),
-            "incremental engine diverged from full-rebuild scans under ingest"
+            run(ScanMode::Naive),
+            "persistent grid engine diverged from naive scans under ingest"
         );
     }
 }

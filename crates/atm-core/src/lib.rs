@@ -45,7 +45,7 @@ pub mod wire;
 pub use airfield::{AircraftUpdate, Airfield, IngestReceipt};
 pub use backends::AtmBackend;
 pub use config::{AtmConfig, ScanMode};
-pub use detect::{AltitudeBands, ConflictGrid, ScanIndex};
+pub use detect::ScanIndex;
 pub use engine::{AtmEngine, CycleReport};
 pub use scenario::{fleet_hash, Scenario, ScenarioKind, ScenarioParams};
 pub use shard::{

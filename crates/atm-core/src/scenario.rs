@@ -79,7 +79,7 @@ pub enum ScenarioKind {
     ConvergingStreams,
     /// Loitering aircraft ringed around a few fixes, stacked 900 ft apart
     /// vertically — many aircraft per grid cell across adjacent altitude
-    /// bands, the banded/incremental stress case.
+    /// bands, the grid stress case.
     HoldingStacks,
     /// Traffic funneled down a corridor that narrows toward its exit, with
     /// overtaking speed spread.
@@ -337,7 +337,7 @@ fn converging(n: usize, p: &ScenarioParams, cfg: &AtmConfig, rng: &mut SimRng) -
 
 /// Loitering rings around a few fixes, levels stacked 900 ft apart (inside
 /// the 1000 ft separation, so adjacent levels pass the vertical gate):
-/// many aircraft per grid cell, the banded/incremental stress case.
+/// many aircraft per grid cell, the grid stress case.
 fn holding_stacks(
     n: usize,
     p: &ScenarioParams,
@@ -563,12 +563,12 @@ mod tests {
         use crate::config::ScanMode;
         let scn = Scenario::new(ScenarioKind::CrossingFlows);
         let base = AtmConfig {
-            scan: ScanMode::Incremental,
+            scan: ScanMode::Naive,
             shards: 4,
             ..AtmConfig::with_seed(77)
         };
         let field = scn.airfield_with(60, &base);
-        assert_eq!(field.config().scan, ScanMode::Incremental);
+        assert_eq!(field.config().scan, ScanMode::Naive);
         assert_eq!(field.config().shards, 4);
         assert_eq!(field.len(), 60);
         // The fleet only depends on (n, seed), never on those knobs.

@@ -11,9 +11,9 @@
 //! shard-local scan over `own ∪ halo` therefore sees every aircraft that
 //! could pass the pair gates against any of its owned aircraft
 //! ([`ShardedIndex`]); the scan itself composes with every
-//! [`crate::config::ScanMode`] by building the banded/grid index per shard.
+//! [`crate::config::ScanMode`] by building the grid per shard.
 //!
-//! Like the banded and grid fast paths, sharding is a **wall-clock knob
+//! Like the grid fast path, sharding is a **wall-clock knob
 //! only**: the sharded scan books skipped pairs in aggregate (DESIGN.md §8,
 //! §9), so fleets, [`DetectStats`], booked op totals and every backend's
 //! modeled time are bit-identical to the unsharded run — enforced by the
@@ -39,8 +39,7 @@ use crate::airfield::Airfield;
 use crate::batcher::{same_altitude_band, within_critical_reach};
 use crate::config::{AtmConfig, ScanMode};
 use crate::detect::{
-    detect_resolve_all, rotate_velocity, scan_candidate_list_booked, AltitudeBands, ConflictGrid,
-    DetectStats, IncrementalGrid, ScanResult,
+    detect_resolve_all, rotate_velocity, scan_candidates, DetectStats, IncrementalGrid, ScanResult,
 };
 use crate::track::{
     adopt_expected_phase, any_unmatched, apply_radar_phase, correlate_radar_pass,
@@ -115,16 +114,11 @@ impl ShardMap {
 pub(crate) enum InnerIndex {
     /// [`ScanMode::Naive`]: every member is a candidate.
     All,
-    /// [`ScanMode::Banded`]: altitude bands over the members.
-    Banded(AltitudeBands),
-    /// [`ScanMode::Grid`]: spatial grid × altitude bands over the members.
-    Grid(ConflictGrid),
-    /// [`ScanMode::Incremental`] under the stateless per-execution build: a
-    /// fresh all-dirty incremental grid over the members,
-    /// enumeration-equivalent to [`ScanMode::Grid`]. Cross-rescan
-    /// persistence lives in [`crate::detect::IncrementalEngine`] /
-    /// [`ShardedIncremental`], not here.
-    Incremental(IncrementalGrid),
+    /// [`ScanMode::Grid`] under the stateless per-execution build: a fresh
+    /// all-dirty grid over the members. Cross-rescan persistence lives in
+    /// [`crate::detect::IncrementalEngine`] / [`ShardedIncremental`], not
+    /// here.
+    Grid(IncrementalGrid),
 }
 
 impl InnerIndex {
@@ -136,25 +130,19 @@ impl InnerIndex {
     pub(crate) fn build(recs: &[Aircraft], cfg: &AtmConfig) -> InnerIndex {
         match cfg.scan {
             ScanMode::Naive => InnerIndex::All,
-            ScanMode::Banded => {
-                InnerIndex::Banded(AltitudeBands::build(recs, cfg.alt_separation_ft))
-            }
-            ScanMode::Grid => InnerIndex::Grid(ConflictGrid::build(recs, cfg)),
-            ScanMode::Incremental => InnerIndex::Incremental(IncrementalGrid::build(recs, cfg)),
+            ScanMode::Grid => InnerIndex::Grid(IncrementalGrid::build(recs, cfg)),
         }
     }
 
-    /// Local candidate ids (positions in the member list) for a track.
-    pub(crate) fn candidates<'a>(
-        &'a self,
-        track: &'a Aircraft,
-        n_local: usize,
-    ) -> Box<dyn Iterator<Item = usize> + 'a> {
+    /// Gather a track's local candidate ids (positions in the member list
+    /// of `n_local` records) into `out`, cleared first.
+    pub(crate) fn candidates_into(&self, track: &Aircraft, n_local: usize, out: &mut Vec<u32>) {
         match self {
-            InnerIndex::All => Box::new(0..n_local),
-            InnerIndex::Banded(b) => Box::new(b.candidates(track.alt)),
-            InnerIndex::Grid(g) => Box::new(g.candidates(track)),
-            InnerIndex::Incremental(g) => Box::new(g.candidates(track)),
+            InnerIndex::All => {
+                out.clear();
+                out.extend(0..n_local as u32);
+            }
+            InnerIndex::Grid(g) => g.candidates_into(track, out),
         }
     }
 }
@@ -234,7 +222,7 @@ impl ShardedIndex {
         } else {
             // Degenerate geometry: every shard sees the whole fleet
             // (correct at unsharded cost, the same fallback posture as the
-            // banded/grid indexes).
+            // grid).
             for m in &mut members {
                 *m = (0..n as u32).collect();
             }
@@ -275,21 +263,17 @@ impl ShardedIndex {
         &self.cells[shard].members
     }
 
-    /// Global candidate ids for track aircraft `i` (scanned by its owner
-    /// shard): a superset of every aircraft that could pass both pair gates
-    /// against `track` — callers re-check the real f32 gates. Used by the
-    /// sharded scan and by the AP backend's candidate masks.
-    pub fn candidates_for<'a>(
-        &'a self,
-        i: usize,
-        track: &'a Aircraft,
-    ) -> Box<dyn Iterator<Item = usize> + 'a> {
+    /// Gather the global candidate ids for track aircraft `i` (scanned by
+    /// its owner shard) into `out`, cleared first: a superset of every
+    /// aircraft that could pass both pair gates against `track` — callers
+    /// re-check the real f32 gates. Used by the sharded scan and by the AP
+    /// backend's candidate masks.
+    pub fn candidates_into(&self, i: usize, track: &Aircraft, out: &mut Vec<u32>) {
         let cell = &self.cells[self.owner[i] as usize];
-        Box::new(
-            cell.inner
-                .candidates(track, cell.members.len())
-                .map(move |l| cell.members[l] as usize),
-        )
+        cell.inner.candidates_into(track, cell.members.len(), out);
+        for l in out.iter_mut() {
+            *l = cell.members[*l as usize];
+        }
     }
 
     /// Halo size of one shard (members that are not owned by it).
@@ -459,12 +443,12 @@ impl ShardedIncremental {
 
     /// Global candidate ids for track aircraft `i` (scanned by its owner
     /// shard) gathered into a reusable buffer: the same gate-passer
-    /// superset [`ShardedIndex::candidates_for`] enumerates.
+    /// superset [`ShardedIndex::candidates_into`] gathers.
     pub fn candidates_into(&self, i: usize, track: &Aircraft, out: &mut Vec<u32>) {
-        out.clear();
         let cell = &self.cells[self.owner[i] as usize];
-        for l in cell.inner.candidates(track) {
-            out.push(cell.members[l]);
+        cell.inner.candidates_into(track, out);
+        for l in out.iter_mut() {
+            *l = cell.members[*l as usize];
         }
     }
 }
@@ -518,10 +502,10 @@ pub struct TurnRecord {
 /// `scan` must return what [`crate::detect::scan_pairs`] would for the same
 /// `(track, vel)` — the in-process transport scans the live fleet through
 /// the sharded index, a shard-worker process scans its imported member
-/// records ([`crate::detect::scan_member_list_booked`]). Sound inside a
-/// wave because a turn reads only static fields (positions, altitudes) plus
-/// the velocities of its *gate passers* — and gate passers are never in the
-/// same wave.
+/// records ([`crate::detect::scan_candidates`] over its member ids). Sound
+/// inside a wave because a turn reads only static fields (positions,
+/// altitudes) plus the velocities of its *gate passers* — and gate passers
+/// are never in the same wave.
 pub fn simulate_turn_scanned(
     base: (f32, f32),
     cfg: &AtmConfig,
@@ -594,13 +578,15 @@ pub fn simulate_turn_scanned(
 /// index: the in-process scanner. Candidates are gathered once per turn —
 /// they depend only on the track's position and altitude, which are static
 /// across the rotation rescans — and every rescan books the full aggregate
-/// mix via [`scan_candidate_list_booked`], exactly as the sequential
+/// mix via [`scan_candidates`], exactly as the sequential
 /// cascade's pruning scan does.
 fn turn_for(fleet: &[Aircraft], index: &ShardedIndex, i: usize, cfg: &AtmConfig) -> TurnRecord {
     let track = &fleet[i];
-    let cands: Vec<u32> = index.candidates_for(i, track).map(|p| p as u32).collect();
+    let mut cands = Vec::new();
+    index.candidates_into(i, track, &mut cands);
     simulate_turn_scanned((track.dx, track.dy), cfg, |vel, ops| {
-        scan_candidate_list_booked(fleet, i, vel, cfg, &cands, ops)
+        let cands = cands.iter().map(|&p| p as usize);
+        scan_candidates(fleet, None, i, fleet.len(), vel, cfg, cands, ops)
     })
 }
 
@@ -805,10 +791,13 @@ pub fn detect_resolve_via_transport(
     // partners (0 when none).
     let mut level = vec![0u32; n];
     let mut max_level = 0u32;
+    let mut cands = Vec::new();
     for i in 0..n {
         let track = aircraft[i];
         let mut lv = 0u32;
-        for p in index.candidates_for(i, &track) {
+        index.candidates_into(i, &track, &mut cands);
+        for &p in &cands {
+            let p = p as usize;
             if p >= i || level[p] < lv {
                 continue;
             }
@@ -1164,12 +1153,7 @@ mod tests {
     #[test]
     fn halo_covers_every_gate_passer() {
         let ac = crossing_fleet(80);
-        for scan in [
-            ScanMode::Naive,
-            ScanMode::Banded,
-            ScanMode::Grid,
-            ScanMode::Incremental,
-        ] {
+        for scan in [ScanMode::Naive, ScanMode::Grid] {
             for shards in [2usize, 3, 4] {
                 let c = AtmConfig {
                     shards,
@@ -1179,14 +1163,15 @@ mod tests {
                 let idx = ShardedIndex::build(&ac, &c);
                 let reach = c.critical_reach_nm();
                 for i in 0..ac.len() {
-                    let cands: Vec<usize> = idx.candidates_for(i, &ac[i]).collect();
+                    let mut cands = Vec::new();
+                    idx.candidates_into(i, &ac[i], &mut cands);
                     for p in 0..ac.len() {
                         let gates = (ac[i].alt - ac[p].alt).abs() < c.alt_separation_ft
                             && (ac[i].x - ac[p].x).abs() <= reach
                             && (ac[i].y - ac[p].y).abs() <= reach;
                         if p != i && gates {
                             assert!(
-                                cands.contains(&p),
+                                cands.contains(&(p as u32)),
                                 "{scan:?} shards={shards}: gate pair ({i},{p}) missed"
                             );
                         }
@@ -1228,12 +1213,7 @@ mod tests {
 
     #[test]
     fn parallel_detect_is_bit_identical_to_serial() {
-        for scan in [
-            ScanMode::Naive,
-            ScanMode::Banded,
-            ScanMode::Grid,
-            ScanMode::Incremental,
-        ] {
+        for scan in [ScanMode::Naive, ScanMode::Grid] {
             for shards in [2usize, 4] {
                 let c = AtmConfig {
                     shards,
@@ -1346,7 +1326,7 @@ mod tests {
         let mut ac = crossing_fleet(120);
         let c = AtmConfig {
             shards: 3,
-            scan: ScanMode::Incremental,
+            scan: ScanMode::Grid,
             ..cfg()
         };
         let mut inc = ShardedIncremental::new();
@@ -1356,9 +1336,10 @@ mod tests {
             inc.update(&ac, &c);
             let full = ShardedIndex::build(&ac, &c);
             for (i, track) in ac.iter().enumerate() {
-                let mut a: Vec<usize> = full.candidates_for(i, track).collect();
+                let mut a = Vec::new();
+                full.candidates_into(i, track, &mut a);
                 inc.candidates_into(i, track, &mut buf);
-                let mut b: Vec<usize> = buf.iter().map(|&p| p as usize).collect();
+                let mut b = buf.clone();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "cycle {cycle} track {i}");

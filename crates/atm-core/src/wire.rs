@@ -22,7 +22,7 @@
 //! identical bits.
 
 use crate::config::{AtmConfig, ScanMode};
-use crate::detect::{scan_member_list_booked, DetectStats};
+use crate::detect::{scan_candidates, DetectStats};
 use crate::shard::{
     simulate_turn_scanned, InnerIndex, ShardTransport, ShardedIndex, TransportError, TurnOutcome,
     TurnRecord, WaveGroup,
@@ -34,7 +34,7 @@ use std::net::{TcpListener, TcpStream};
 
 /// The codec version every connection negotiates. Bump on any change to a
 /// frame layout; peers refuse a mismatch at handshake.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Hard ceiling on one frame's payload (64 MiB ≈ a 1.2M-aircraft halo
 /// export). A length prefix beyond it is a protocol error, not an
@@ -182,18 +182,14 @@ fn dec_aircraft(d: &mut Dec) -> Result<Aircraft, TransportError> {
 fn scan_tag(scan: ScanMode) -> u8 {
     match scan {
         ScanMode::Naive => 0,
-        ScanMode::Banded => 1,
         ScanMode::Grid => 2,
-        ScanMode::Incremental => 3,
     }
 }
 
 fn scan_from_tag(tag: u8) -> Result<ScanMode, TransportError> {
     match tag {
         0 => Ok(ScanMode::Naive),
-        1 => Ok(ScanMode::Banded),
         2 => Ok(ScanMode::Grid),
-        3 => Ok(ScanMode::Incremental),
         other => Err(err(format!("bad scan-mode tag {other}"))),
     }
 }
@@ -219,7 +215,6 @@ fn enc_config(e: &mut Enc, cfg: &AtmConfig) {
     e.f32(cfg.rotation_max_deg);
     e.u64(cfg.seed);
     e.u8(scan_tag(cfg.scan));
-    e.f32(cfg.grid_cell_nm);
     e.u64(cfg.shards as u64);
 }
 
@@ -245,7 +240,6 @@ fn dec_config(d: &mut Dec) -> Result<AtmConfig, TransportError> {
         rotation_max_deg: d.f32()?,
         seed: d.u64()?,
         scan: scan_from_tag(d.u8()?)?,
-        grid_cell_nm: d.f32()?,
         shards: d.u64()? as usize,
     })
 }
@@ -904,15 +898,22 @@ impl WorkerState {
                 .binary_search(&id)
                 .map_err(|_| err(format!("claimed aircraft {id} is not a member here")))?;
             let track = self.recs[li];
-            let cands: Vec<u32> = self
-                .inner
-                .candidates(&track, self.recs.len())
-                .map(|l| l as u32)
-                .collect();
-            let (recs, members, cfg) = (&self.recs, &self.members, &self.cfg);
+            let mut cands = Vec::new();
+            self.inner
+                .candidates_into(&track, self.recs.len(), &mut cands);
+            let (recs, members, cfg) = (&self.recs, Some(&self.members[..]), &self.cfg);
             let global_n = self.global_n as usize;
             let rec = simulate_turn_scanned((track.dx, track.dy), cfg, |vel, ops| {
-                scan_member_list_booked(recs, members, li, global_n, vel, cfg, &cands, ops)
+                scan_candidates(
+                    recs,
+                    members,
+                    li,
+                    global_n,
+                    vel,
+                    cfg,
+                    cands.iter().map(|&l| l as usize),
+                    ops,
+                )
             });
             self.stats.absorb(&rec.stats);
             self.ops.merge(&rec.ops);
@@ -1143,13 +1144,45 @@ mod tests {
         assert!(Frame::decode(&huge).is_err());
     }
 
+    #[test]
+    fn only_the_naive_and_grid_scan_tags_decode() {
+        let export = |scan| {
+            Frame::Export {
+                global_n: 1,
+                cfg: AtmConfig {
+                    scan,
+                    ..AtmConfig::default()
+                },
+                members: vec![0],
+                recs: vec![Aircraft::at(0.0, 0.0)],
+            }
+            .encode()
+            .unwrap()
+        };
+        let naive = export(ScanMode::Naive);
+        let grid = export(ScanMode::Grid);
+        // The config frames differ in exactly the scan-mode tag byte.
+        let diff: Vec<usize> = (0..naive.len()).filter(|&k| naive[k] != grid[k]).collect();
+        assert_eq!(diff.len(), 1);
+        let at = diff[0];
+        assert_eq!((naive[at], grid[at]), (0, 2));
+        // Tags 1 and 3 (the retired banded and incremental modes) are
+        // refused, like any other unknown tag.
+        for tag in [1u8, 3, 4, 0xff] {
+            let mut payload = grid.clone();
+            payload[at] = tag;
+            let e = Frame::decode(&payload).expect_err("retired scan tag must not decode");
+            assert!(e.to_string().contains("bad scan-mode tag"), "{e}");
+        }
+    }
+
     /// Coordinator + one worker thread per shard over real localhost TCP:
     /// the serialized transport must be bit-identical to the sequential
     /// reference (and therefore to the in-process transport) across scan
     /// modes, including the summary cross-check passing.
     #[test]
     fn socket_transport_is_bit_identical_to_serial() {
-        for scan in [ScanMode::Naive, ScanMode::Grid, ScanMode::Incremental] {
+        for scan in [ScanMode::Naive, ScanMode::Grid] {
             let cfg = AtmConfig {
                 shards: 2,
                 scan,

@@ -10,7 +10,7 @@
 //!                         [--die-after-waves W]
 //! ```
 //!
-//! Spec flags: `--n`, `--seed`, `--scenario SLUG`, `--scan MODE`,
+//! Spec flags: `--n`, `--seed`, `--scenario SLUG`, `--scan naive|grid`,
 //! `--shards K`, `--platform SLUG`, `--autostep-ms T`, `--queue-cap Q`,
 //! `--metrics-out FILE`, `--log-out FILE`.
 //!

@@ -12,9 +12,7 @@ use telemetry::JsonValue;
 pub fn scan_to_slug(scan: ScanMode) -> &'static str {
     match scan {
         ScanMode::Naive => "naive",
-        ScanMode::Banded => "banded",
         ScanMode::Grid => "grid",
-        ScanMode::Incremental => "incremental",
     }
 }
 
@@ -22,9 +20,7 @@ pub fn scan_to_slug(scan: ScanMode) -> &'static str {
 pub fn scan_from_slug(s: &str) -> Option<ScanMode> {
     match s {
         "naive" => Some(ScanMode::Naive),
-        "banded" => Some(ScanMode::Banded),
         "grid" => Some(ScanMode::Grid),
-        "incremental" => Some(ScanMode::Incremental),
         _ => None,
     }
 }
@@ -154,7 +150,7 @@ mod tests {
             n: 300,
             seed: 9,
             shards: 4,
-            scan: ScanMode::Incremental,
+            scan: ScanMode::Naive,
             ..ServerSpec::default()
         };
         let a = spec.build_airfield().unwrap();
@@ -173,18 +169,16 @@ mod tests {
         spec.platform = "titan-x-pascal".to_owned();
         spec.scenario = Some("nope".to_owned());
         assert!(spec.build_airfield().is_err());
+        // The retired scan modes are unknown slugs, not aliases.
+        for slug in ["banded", "incremental", "quantum"] {
+            assert_eq!(scan_from_slug(slug), None, "{slug}");
+        }
     }
 
     #[test]
     fn scan_slugs_round_trip() {
-        for m in [
-            ScanMode::Naive,
-            ScanMode::Banded,
-            ScanMode::Grid,
-            ScanMode::Incremental,
-        ] {
+        for m in [ScanMode::Naive, ScanMode::Grid] {
             assert_eq!(scan_from_slug(scan_to_slug(m)), Some(m));
         }
-        assert_eq!(scan_from_slug("quantum"), None);
     }
 }

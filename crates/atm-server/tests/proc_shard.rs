@@ -2,7 +2,7 @@
 //! exchange (DESIGN.md §15): `atm-server coordinator` plus real
 //! `atm-server shard-worker` OS processes over localhost sockets must
 //! produce byte-identical `CycleReport` lines and telemetry metrics to the
-//! in-process [`replay_log`] of the same spec — across {Grid, Incremental}
+//! in-process [`replay_log`] of the same spec — across {Grid, Naive}
 //! scans × {1, 4} worker processes × two scenario-corpus shapes. A worker
 //! killed mid-protocol must surface as a clean nonzero coordinator exit
 //! with *no* artifacts, never a hang.
@@ -226,13 +226,13 @@ fn four_workers_grid_hotspot_matches_in_process_replay() {
 }
 
 #[test]
-fn one_worker_incremental_crossing_matches_in_process_replay() {
-    assert_cluster_matches_replay("inc1_crossing", ScanMode::Incremental, 1, "crossing");
+fn one_worker_naive_crossing_matches_in_process_replay() {
+    assert_cluster_matches_replay("naive1_crossing", ScanMode::Naive, 1, "crossing");
 }
 
 #[test]
-fn four_workers_incremental_crossing_matches_in_process_replay() {
-    assert_cluster_matches_replay("inc4_crossing", ScanMode::Incremental, 2, "crossing");
+fn four_workers_naive_crossing_matches_in_process_replay() {
+    assert_cluster_matches_replay("naive4_crossing", ScanMode::Naive, 2, "crossing");
 }
 
 /// A worker dying on its first wave claim: the coordinator must exit

@@ -86,7 +86,7 @@ pub trait CostSink {
     }
 
     /// Record `count` branches that all share one divergence hint, in a
-    /// single call. Fast paths that *skip* work (e.g. the banded conflict
+    /// single call. Fast paths that *skip* work (e.g. the grid conflict
     /// scan) use this to book the operation mix of the skipped iterations
     /// in aggregate; every sink must tally exactly as if [`CostSink::branch`]
     /// had been called `count` times, so modeled time is unchanged.

@@ -54,9 +54,9 @@ pub mod prelude {
         Roster, RosterEntry, SequentialBackend, SimdSoaBackend, TimingKind, XeonModelBackend,
     };
     pub use atm_core::{
-        detect_resolve_parallel, fleet_hash, Aircraft, Airfield, AltitudeBands, AtmConfig,
-        AtmSimulation, RadarReport, ScanMode, Scenario, ScenarioKind, ScenarioParams, ShardMap,
-        ShardedAirfield, ShardedCycleStats, ShardedIndex, SimOutcome, TerrainGrid, TerrainSchedule,
+        detect_resolve_parallel, fleet_hash, Aircraft, Airfield, AtmConfig, AtmSimulation,
+        RadarReport, ScanMode, Scenario, ScenarioKind, ScenarioParams, ShardMap, ShardedAirfield,
+        ShardedCycleStats, ShardedIndex, SimOutcome, TerrainGrid, TerrainSchedule,
         TerrainTaskConfig,
     };
     pub use curvefit::{classify_curve, fit_poly, CurveClass};

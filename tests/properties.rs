@@ -325,12 +325,12 @@ fn polyfit_residuals_never_beat_higher_degree() {
     }
 }
 
-// ---------- Fast scans (banded, grid) vs. naive scan ----------
+// ---------- Fast scan (grid) vs. naive scan ----------
 
 /// A fleet whose altitudes cluster into a handful of flight levels, so the
-/// banded index actually prunes (random altitudes over the full range would
-/// leave most buckets singleton and prove little about correctness under
-/// contention).
+/// grid's altitude buckets actually prune (random altitudes over the full
+/// range would leave most buckets singleton and prove little about
+/// correctness under contention).
 fn arb_fleet(rng: &mut SimRng, n: usize) -> Vec<Aircraft> {
     (0..n)
         .map(|_| {
@@ -372,7 +372,7 @@ fn full_detect(
 }
 
 /// Assert the conformance contract on one fleet/config: every fast path —
-/// banded, grid, and every (shard grid × scan mode) combination — must
+/// the grid and every (shard grid × scan mode) combination — must
 /// match the unsharded naive scan in mutated fleet, stats, and booked
 /// costs, bit for bit.
 fn assert_scans_agree(fleet: &[Aircraft], base: &AtmConfig, label: &str) {
@@ -385,12 +385,7 @@ fn assert_scans_agree(fleet: &[Aircraft], base: &AtmConfig, label: &str) {
         },
     );
     for shards in [1usize, 2, 3, 4] {
-        for scan in [
-            ScanMode::Naive,
-            ScanMode::Banded,
-            ScanMode::Grid,
-            ScanMode::Incremental,
-        ] {
+        for scan in [ScanMode::Naive, ScanMode::Grid] {
             if shards == 1 && scan == ScanMode::Naive {
                 continue;
             }
@@ -656,7 +651,6 @@ fn gpu_modeled_time_is_bit_identical_across_scan_modes() {
         let t_naive = gpu1.detect_resolve(&mut naive, &scan_cfg(seed, ScanMode::Naive));
 
         for (scan, shards) in [
-            (ScanMode::Banded, 1),
             (ScanMode::Grid, 1),
             (ScanMode::Grid, 4),
             (ScanMode::Naive, 2),
@@ -686,7 +680,6 @@ fn xeon_modeled_time_is_identical_across_scan_modes() {
     let t_naive = x1.detect_resolve(&mut naive, &scan_cfg(77, ScanMode::Naive));
 
     for (scan, shards) in [
-        (ScanMode::Banded, 1),
         (ScanMode::Grid, 1),
         (ScanMode::Grid, 4),
         (ScanMode::Naive, 4),
@@ -733,8 +726,7 @@ fn parallel_and_serial_sweeps_produce_identical_series() {
 /// fleets, every enumerator must (a) yield a candidate superset of the
 /// true gate-passing partner set for every track, and (b) drive the shared
 /// kernel to the naive scan's exact result and booked costs — across all
-/// four source kinds (naive, banded, grid, sharded) at shard grid sides 1
-/// and 4.
+/// three source kinds (naive, grid, sharded) at shard grid sides 1 and 4.
 #[test]
 fn every_candidate_source_covers_the_gate_set_and_matches_the_naive_kernel() {
     use atm_core::batcher::{same_altitude_band, within_critical_reach};
@@ -752,12 +744,7 @@ fn every_candidate_source_covers_the_gate_set_and_matches_the_naive_kernel() {
         let naive_index = ScanIndex::for_config(&fleet, &base);
 
         for shards in [1usize, 4] {
-            for scan in [
-                ScanMode::Naive,
-                ScanMode::Banded,
-                ScanMode::Grid,
-                ScanMode::Incremental,
-            ] {
+            for scan in [ScanMode::Naive, ScanMode::Grid] {
                 let cfg = sharded_cfg(5, scan, shards);
                 let index = ScanIndex::for_config(&fleet, &cfg);
                 let label = format!("case {case} (n={n}) scan={scan:?} shards={shards}");
@@ -803,15 +790,19 @@ fn every_candidate_source_covers_the_gate_set_and_matches_the_naive_kernel() {
     }
 }
 
-// ---------- Incremental rescans (dirty-cell persistence) ----------
+// ---------- Persistent grid rescans (dirty-cell persistence) ----------
+//
+// The `incremental_matches_full_rebuild_*` tests hold a backend's
+// persistent grid engine against the full rebuild every cycle: the naive
+// oracle rescanning the whole fleet from scratch.
 
-/// How a fleet mutates between two rescans of an incremental-engine run.
+/// How a fleet mutates between two rescans of a persistent-engine run.
 type Perturb = fn(&mut [Aircraft], usize, &mut SimRng);
 
-/// Drive one persistent backend in [`ScanMode::Incremental`] through
-/// `cycles` rescans of a fleet mutated by `perturb` between cycles,
-/// checking every rescan byte-for-byte (mutated fleet and stats) against a
-/// fresh full-rebuild Grid detect of the same pre-scan fleet.
+/// Drive one persistent backend in [`ScanMode::Grid`] through `cycles`
+/// rescans of a fleet mutated by `perturb` between cycles, checking every
+/// rescan byte-for-byte (mutated fleet and stats) against a fresh
+/// unsharded naive detect of the same pre-scan fleet.
 fn drive_incremental<B: AtmBackend>(
     mut backend: B,
     stats: impl Fn(&B) -> atm_core::detect::DetectStats,
@@ -822,14 +813,14 @@ fn drive_incremental<B: AtmBackend>(
     label: &str,
 ) {
     use atm_core::detect::detect_resolve_all;
-    let inc = sharded_cfg(7, ScanMode::Incremental, shards);
     let grid = sharded_cfg(7, ScanMode::Grid, shards);
+    let naive = scan_cfg(7, ScanMode::Naive);
     let mut fleet = fleet0.to_vec();
     let mut rng = SimRng::seed_from_u64(0xD1);
     for cycle in 0..cycles {
         let mut reference = fleet.clone();
-        let ref_stats = detect_resolve_all(&mut reference, &grid, &mut NullSink);
-        backend.detect_resolve(&mut fleet, &inc);
+        let ref_stats = detect_resolve_all(&mut reference, &naive, &mut NullSink);
+        backend.detect_resolve(&mut fleet, &grid);
         assert_eq!(fleet, reference, "{label}: fleet diverged at cycle {cycle}");
         assert_eq!(
             stats(&backend),

@@ -3,15 +3,10 @@
 
 use atm::prelude::*;
 
-/// The three host-side conflict-scan implementations. Deadline behaviour
-/// is simulated time, so every paper claim must hold — with identical miss
+/// Both host-side conflict-scan implementations. Deadline behaviour is
+/// simulated time, so every paper claim must hold — with identical miss
 /// counts — under each of them.
-const SCAN_MODES: [ScanMode; 4] = [
-    ScanMode::Naive,
-    ScanMode::Banded,
-    ScanMode::Grid,
-    ScanMode::Incremental,
-];
+const SCAN_MODES: [ScanMode; 2] = [ScanMode::Naive, ScanMode::Grid];
 
 /// A simulation over the standard field with an explicit scan mode.
 fn sim_with_scan(

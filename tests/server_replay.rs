@@ -5,8 +5,8 @@
 //! recorded ingest log through the batch [`AtmEngine`] via
 //! [`replay_log`] has to produce byte-identical `CycleReport` JSON,
 //! fleet hashes and telemetry metrics. Checked across shard counts
-//! {1, 4} × {Grid, Incremental} scans on the hotspot scenario (the
-//! densest catalog shape, where dirty-cell bookkeeping earns its keep).
+//! {1, 4} × {Grid, Naive} scans on the hotspot scenario (the densest
+//! catalog shape, where the grid's pruning earns its keep).
 //!
 //! [`AtmEngine`]: atm_core::AtmEngine
 //! [`replay_log`]: atm_server::replay_log
@@ -143,13 +143,13 @@ fn replay_matches_live_grid_sharded() {
 }
 
 #[test]
-fn replay_matches_live_incremental_unsharded() {
-    assert_replay_matches_live(ScanMode::Incremental, 1);
+fn replay_matches_live_naive_unsharded() {
+    assert_replay_matches_live(ScanMode::Naive, 1);
 }
 
 #[test]
-fn replay_matches_live_incremental_sharded() {
-    assert_replay_matches_live(ScanMode::Incremental, 4);
+fn replay_matches_live_naive_sharded() {
+    assert_replay_matches_live(ScanMode::Naive, 4);
 }
 
 /// The fleet hashes inside the replayed reports are real: independently
