@@ -31,11 +31,11 @@
 //! `--scenario SLUG` (repeatable; `all` for the whole catalog) sweeps a
 //! scenario-corpus traffic shape — crossing flows, holding stacks, shard
 //! hotspots, … (see `atm_core::scenario`) — across the paper roster with
-//! every point verified bit-identical over the scan-mode × shard matrix,
-//! plus deadline-miss ladders, writing `scn-<slug>.json` and
-//! `scn-<slug>-metrics.json`. The matrix is iterated internally, so
-//! `--scan`/`--shards` do not apply; `--quick` and `--jobs` do, and the
-//! artifacts are byte-identical at any job count.
+//! every point verified bit-identical over both scan modes, plus
+//! deadline-miss ladders, writing `scn-<slug>.json` and
+//! `scn-<slug>-metrics.json`. The scan modes are iterated internally, so
+//! `--scan` does not apply; `--quick` and `--jobs` do, and the artifacts
+//! are byte-identical at any job count.
 //!
 //! `--trace PATH` and `--metrics PATH` additionally run one major cycle of
 //! the full timed simulation on every paper platform with the telemetry
@@ -66,7 +66,6 @@ struct Options {
     metrics: Option<PathBuf>,
     jobs: Option<usize>,
     scan: ScanMode,
-    shards: usize,
 }
 
 /// The next argument, or a clean usage error naming the flag that needs it.
@@ -89,7 +88,6 @@ fn parse_args() -> Options {
         metrics: None,
         jobs: None,
         scan: ScanMode::default(),
-        shards: 1,
     };
     let mut args = std::env::args().skip(1);
     let mut any = false;
@@ -149,28 +147,16 @@ fn parse_args() -> Options {
                     }
                 };
             }
-            "--shards" => {
-                let v = value_of(&mut args, "--shards", "a shard grid side (1..=32)");
-                opts.shards = v
-                    .parse()
-                    .ok()
-                    .filter(|s| (1..=32).contains(s))
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards needs a shard grid side (1..=32), got '{v}'");
-                        std::process::exit(2);
-                    });
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: figures [--all] [--fig N]... \
                      [--exp deadlines|determinism|ablations|normalized|measured]... \
                      [--scenario SLUG|all]... \
                      [--quick] [--stream] [--jobs N] [--scan naive|grid] \
-                     [--shards N] \
                      [--out DIR] [--trace PATH] [--metrics PATH]\n\
                      (--exp measured emits host wall-clock and is not part of --all;\n\
-                      --scenario sweeps the scan x shard matrix internally, so --scan and\n\
-                      --shards do not apply to it — slugs: {})",
+                      --scenario sweeps both scan modes internally, so --scan does not\n\
+                      apply to it — slugs: {})",
                     atm_core::Scenario::catalog()
                         .iter()
                         .map(atm_core::Scenario::slug)
@@ -260,7 +246,6 @@ fn main() {
     };
     let sweep = SweepConfig {
         scan: opts.scan,
-        shards: opts.shards,
         ..if opts.quick {
             SweepConfig::quick()
         } else {
@@ -268,13 +253,12 @@ fn main() {
         }
     };
     println!(
-        "sweep: n = {:?}, seed = {}, reps = {} (jobs = {}, scan = {:?}, shards = {})\n",
+        "sweep: n = {:?}, seed = {}, reps = {} (jobs = {}, scan = {:?})\n",
         sweep.ns,
         sweep.seed,
         sweep.reps,
         harness.jobs(),
-        sweep.scan,
-        sweep.shards
+        sweep.scan
     );
 
     for &f in &opts.figs {
@@ -415,7 +399,7 @@ fn main() {
 }
 
 /// Sweep the requested catalog scenarios: each emits `scn-<slug>.json`
-/// (platform series over the verified scan × shard matrix, deadline-miss
+/// (platform series verified across both scan modes, deadline-miss
 /// ladders, conflict notes) and `scn-<slug>-metrics.json` (one recorded
 /// major cycle). Everything is deterministically modeled — artifacts are
 /// byte-identical run to run and across `--jobs`.
@@ -452,8 +436,8 @@ fn run_scenarios(opts: &Options, harness: &Harness) {
     scenarios.dedup_by_key(|s| s.slug());
 
     println!(
-        "scenario sweep: n = {:?}, deadline ladder = {:?}, seed = {}, shards = {:?}\n",
-        sw.ns, sw.deadline_ns, sw.seed, sw.shard_grids
+        "scenario sweep: n = {:?}, deadline ladder = {:?}, seed = {}\n",
+        sw.ns, sw.deadline_ns, sw.seed
     );
     for scn in &scenarios {
         let fig = scenario_figure(scn, &sw, harness);

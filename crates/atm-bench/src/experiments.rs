@@ -226,7 +226,6 @@ mod tests {
             seed: 9,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         };
         let (rows, fig) = deadlines(
             &cfg,
@@ -277,7 +276,6 @@ mod tests {
             seed: 9,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         };
         let subset = Some(&["Titan X (Pascal)", "Intel Xeon 16-core"][..]);
         let (serial, _) = deadlines(&cfg, subset, &Harness::serial());
@@ -424,7 +422,6 @@ mod measured_tests {
             seed: 8,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         };
         let fig = measured_vs_modeled(&cfg, &Harness::serial());
         assert_eq!(fig.series.len(), 5);
@@ -455,7 +452,6 @@ mod normalized_tests {
             seed: 12,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         };
         let fig = throughput_normalized(&cfg, &Harness::serial());
         assert_eq!(fig.series.len(), 6);
@@ -470,7 +466,6 @@ mod normalized_tests {
             seed: 12,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         };
         let fig = throughput_normalized(&cfg, &Harness::serial());
         let staran = fig

@@ -267,7 +267,6 @@ mod tests {
             seed: 5,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         }
     }
 
@@ -353,7 +352,6 @@ mod tests {
                 seed: 5,
                 reps: 1,
                 scan: ScanMode::default(),
-                shards: 1,
             },
             &Harness::serial(),
         );

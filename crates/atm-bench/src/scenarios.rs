@@ -1,17 +1,16 @@
 //! Scenario-corpus sweeps: every catalog traffic shape across the paper's
-//! platform roster, the full scan-mode × shard matrix, and the cyclic
-//! executive's deadline accounting.
+//! platform roster, both scan modes, and the cyclic executive's deadline
+//! accounting.
 //!
 //! One [`scenario_figure`] call produces a byte-stable artifact per
 //! scenario (`scn-<slug>.json`): the modeled Tasks 2+3 series of each
 //! paper platform over the aircraft sweep — with every point verified
-//! bit-identical across {naive, grid} × the shard
-//! grids — plus deadline-miss series for the fastest NVIDIA device and the
-//! multi-core Xeon, scan-invariance of those miss counts, conflict-volume
-//! notes, and the miss-onset fleet size. [`scenario_metrics`] captures one
-//! recorded major cycle (`scn-<slug>-metrics.json`). All inputs are
-//! deterministically modeled, so both artifacts are byte-identical run to
-//! run and across `--jobs`.
+//! bit-identical across {naive, grid} — plus deadline-miss series for the
+//! fastest NVIDIA device and the multi-core Xeon, scan-invariance of those
+//! miss counts, conflict-volume notes, and the miss-onset fleet size.
+//! [`scenario_metrics`] captures one recorded major cycle
+//! (`scn-<slug>-metrics.json`). All inputs are deterministically modeled,
+//! so both artifacts are byte-identical run to run and across `--jobs`.
 
 use crate::harness::Harness;
 use crate::series::{FigureData, Series};
@@ -25,10 +24,11 @@ const SCANS: [ScanMode; 2] = [ScanMode::Naive, ScanMode::Grid];
 
 /// Artifact notes whose wording the committed scenario goldens pin. They
 /// predate the collapse of the scan family to {naive, grid}: the matrix
-/// then spanned four modes and the deadline check compared the grid
-/// against its incremental variant. The wording is corrected with the next
-/// deliberate golden regeneration; until then it must not move a byte.
-const MATRIX_NOTE: &str = "every point verified bit-identical across 4 scan modes";
+/// then spanned four modes and two shard grids, and the deadline check
+/// compared the grid against its incremental variant. The wording is
+/// corrected with the next deliberate golden regeneration; until then it
+/// must not move a byte.
+const MATRIX_NOTE: &str = "every point verified bit-identical across 4 scan modes x shards [1, 4]";
 const DEADLINE_NOTE: &str = "deadline misses identical between Grid and Incremental scans";
 
 /// Scenario-sweep parameters.
@@ -38,8 +38,6 @@ pub struct ScenarioSweepConfig {
     pub ns: Vec<usize>,
     /// Fleet seed (same fleet per point across platforms and combos).
     pub seed: u64,
-    /// Shard grid sides verified at every point (DESIGN.md §9).
-    pub shard_grids: Vec<usize>,
     /// Aircraft counts for the deadline-miss ladder (full major cycles on
     /// the functional simulator — kept moderate on purpose).
     pub deadline_ns: Vec<usize>,
@@ -53,7 +51,6 @@ impl ScenarioSweepConfig {
         ScenarioSweepConfig {
             ns: vec![400, 800, 1_600],
             seed: 2018,
-            shard_grids: vec![1, 4],
             deadline_ns: vec![1_000, 2_000, 4_000],
             metrics_n: 400,
         }
@@ -64,7 +61,6 @@ impl ScenarioSweepConfig {
         ScenarioSweepConfig {
             ns: vec![200, 400],
             seed: 2018,
-            shard_grids: vec![1, 4],
             deadline_ns: vec![400],
             metrics_n: 200,
         }
@@ -75,7 +71,6 @@ impl ScenarioSweepConfig {
         ScenarioSweepConfig {
             ns: vec![120, 240],
             seed: 2018,
-            shard_grids: vec![1, 4],
             deadline_ns: vec![240],
             metrics_n: 120,
         }
@@ -83,8 +78,7 @@ impl ScenarioSweepConfig {
 }
 
 /// One platform's point: the modeled Tasks 2+3 time, already verified
-/// bit-identical (duration and mutated fleet) across the scan × shard
-/// matrix.
+/// bit-identical (duration and mutated fleet) across both scan modes.
 fn matrix_point(
     entry: &atm_core::backends::RosterEntry,
     scn: &Scenario,
@@ -94,26 +88,23 @@ fn matrix_point(
     let fleet = scn.fleet(n, sw.seed);
     let mut reference: Option<(f64, u64)> = None;
     for scan in SCANS {
-        for &shards in &sw.shard_grids {
-            let cfg = scn.apply(AtmConfig {
-                scan,
-                shards,
-                ..AtmConfig::with_seed(sw.seed)
-            });
-            let mut backend = entry.instantiate();
-            let mut mutated = fleet.clone();
-            let d = backend.detect_resolve(&mut mutated, &cfg).as_millis_f64();
-            let h = fleet_hash(&mutated);
-            match reference {
-                None => reference = Some((d, h)),
-                Some(r) => assert_eq!(
-                    r,
-                    (d, h),
-                    "{} on {}: scan {scan:?} × shards {shards} diverged at n={n}",
-                    scn.slug(),
-                    entry.label
-                ),
-            }
+        let cfg = scn.apply(AtmConfig {
+            scan,
+            ..AtmConfig::with_seed(sw.seed)
+        });
+        let mut backend = entry.instantiate();
+        let mut mutated = fleet.clone();
+        let d = backend.detect_resolve(&mut mutated, &cfg).as_millis_f64();
+        let h = fleet_hash(&mutated);
+        match reference {
+            None => reference = Some((d, h)),
+            Some(r) => assert_eq!(
+                r,
+                (d, h),
+                "{} on {}: scan {scan:?} diverged at n={n}",
+                scn.slug(),
+                entry.label
+            ),
         }
     }
     reference.expect("matrix is never empty").0
@@ -151,7 +142,7 @@ fn deadline_point(platform: PlatformId, scn: &Scenario, n: usize, seed: u64) -> 
 const DEADLINE_PLATFORMS: [PlatformId; 2] = [PlatformId::TitanXPascal, PlatformId::XeonMulticore];
 
 /// Sweep one scenario: per-platform modeled series (each point verified
-/// across the scan × shard matrix), deadline-miss series, conflict volume
+/// across both scan modes), deadline-miss series, conflict volume
 /// and miss onset. Points fan across the harness and are slotted by
 /// index, so the figure is byte-identical at any `--jobs`.
 pub fn scenario_figure(scn: &Scenario, sw: &ScenarioSweepConfig, harness: &Harness) -> FigureData {
@@ -174,8 +165,7 @@ pub fn scenario_figure(scn: &Scenario, sw: &ScenarioSweepConfig, harness: &Harne
             y_ms: y[i * per_entry..(i + 1) * per_entry].to_vec(),
         });
     }
-    fig.notes
-        .push(format!("{MATRIX_NOTE} x shards {:?}", sw.shard_grids));
+    fig.notes.push(MATRIX_NOTE.to_owned());
 
     // Deadline ladder: misses per major cycle, scan-invariance asserted
     // inside every point. Fan (platform, n) pairs like the series points.

@@ -26,9 +26,6 @@ pub struct SweepConfig {
     /// Conflict-scan implementation (wall-clock knob only — results and
     /// modeled times are identical either way, see DESIGN.md).
     pub scan: ScanMode,
-    /// Geographic shard grid side (wall-clock knob only, like `scan` —
-    /// see DESIGN.md §9). `1` is the unsharded pipeline.
-    pub shards: usize,
 }
 
 impl SweepConfig {
@@ -39,7 +36,6 @@ impl SweepConfig {
             seed: 2018,
             reps: 2,
             scan: ScanMode::default(),
-            shards: 1,
         }
     }
 
@@ -50,7 +46,6 @@ impl SweepConfig {
             seed: 2018,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         }
     }
 
@@ -58,7 +53,6 @@ impl SweepConfig {
     pub fn atm_config(&self) -> AtmConfig {
         AtmConfig {
             scan: self.scan,
-            shards: self.shards,
             ..AtmConfig::with_seed(self.seed)
         }
     }
@@ -86,22 +80,6 @@ pub fn measure_point_scan(
     reps: usize,
     scan: ScanMode,
 ) -> f64 {
-    measure_point_sharded(entry, task, n, seed, reps, scan, 1)
-}
-
-/// [`measure_point_scan`] with an explicit shard grid side
-/// ([`AtmConfig::shards`]). Like the scan mode, sharding is a wall-clock
-/// knob only: every backend's results and modeled times are bit-identical
-/// at any shard count.
-pub fn measure_point_sharded(
-    entry: &RosterEntry,
-    task: Task,
-    n: usize,
-    seed: u64,
-    reps: usize,
-    scan: ScanMode,
-    shards: usize,
-) -> f64 {
     let mut total_ms = 0.0;
     // One shared baseline advanced incrementally: rep `r` measures against
     // the seed field after `r` periods of drift. (Replaying `r` periods
@@ -111,7 +89,6 @@ pub fn measure_point_sharded(
         n,
         AtmConfig {
             scan,
-            shards,
             ..AtmConfig::with_seed(seed)
         },
     );
@@ -198,7 +175,7 @@ pub fn sweep_roster_streamed(
         |k| {
             let entry = &entries[k / per_entry];
             let n = cfg.ns[k % per_entry];
-            measure_point_sharded(entry, task, n, cfg.seed, cfg.reps, cfg.scan, cfg.shards)
+            measure_point_scan(entry, task, n, cfg.seed, cfg.reps, cfg.scan)
         },
         |k, &y_ms| on_point(k / per_entry, k % per_entry, y_ms),
     );
@@ -252,7 +229,6 @@ mod tests {
             seed: 3,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         };
         let series = sweep_roster(&Roster::nvidia(), Task::DetectResolve, &cfg);
         assert_eq!(series.len(), 3);
@@ -270,7 +246,6 @@ mod tests {
             seed: 3,
             reps: 2,
             scan: ScanMode::default(),
-            shards: 1,
         };
         let serial = sweep_roster(&Roster::paper(), Task::DetectResolve, &cfg);
         let parallel = sweep_roster_on(
@@ -298,26 +273,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_measured_times() {
-        let titan = titan();
-        for task in [Task::Track, Task::DetectResolve] {
-            let one = measure_point_sharded(&titan, task, 500, 7, 2, ScanMode::default(), 1);
-            for shards in [2usize, 4] {
-                let sharded =
-                    measure_point_sharded(&titan, task, 500, 7, 2, ScanMode::default(), shards);
-                assert_eq!(one, sharded, "task {task:?}, shards {shards}");
-            }
-        }
-    }
-
-    #[test]
     fn streamed_sweep_reports_every_point_and_matches_materialized() {
         let cfg = SweepConfig {
             ns: vec![200, 400],
             seed: 3,
             reps: 1,
             scan: ScanMode::default(),
-            shards: 1,
         };
         let baseline = sweep_roster(&Roster::nvidia(), Task::DetectResolve, &cfg);
         for jobs in [1, 4] {

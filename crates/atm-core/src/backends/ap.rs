@@ -261,7 +261,7 @@ impl AtmBackend for ApBackend {
             // The candidate mask depends only on positions and altitudes,
             // which never change during Tasks 2+3 — build it once per
             // track.
-            let scan_mask: Option<ResponderSet> = index.responder_mask(i, &m.records()[i].a, n);
+            let scan_mask: Option<ResponderSet> = index.responder_mask(&m.records()[i].a, n);
 
             loop {
                 // Broadcast the track and compute every PE's window start

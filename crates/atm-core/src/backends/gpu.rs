@@ -19,7 +19,7 @@
 
 use crate::backends::{AtmBackend, BackendInfo, PlatformId, TimingKind};
 use crate::config::AtmConfig;
-use crate::detect::{check_collision_path_with, detect_only_with, DetectStats, ScanIndex};
+use crate::detect::{check_collision_path, detect_only, DetectStats, ScanIndex};
 use crate::terrain::{check_terrain, TerrainGrid, TerrainTaskConfig};
 use crate::track::{
     adopt_expected_phase, apply_radar_phase, correlate_radar_pass, expected_position_phase,
@@ -131,7 +131,7 @@ impl GpuBackend {
             .launch("CheckCollisionPath.tiled", lc, |ctx, tr| {
                 if ctx.in_range(n) {
                     // Functional result: identical to the fused kernel.
-                    let s = check_collision_path_with(aircraft, &index, ctx.global_id(), cfg, tr);
+                    let s = check_collision_path(aircraft, &index, ctx.global_id(), cfg, tr);
                     stats.absorb(&s);
                     // Re-price the memory side: the scan above charged one
                     // warp-uniform load per trial record; under tiling each
@@ -168,7 +168,7 @@ impl GpuBackend {
         let mut stats = DetectStats::default();
         self.device.launch("DetectOnly", lc, |ctx, tr| {
             if ctx.in_range(n) {
-                let s = detect_only_with(aircraft, &index, ctx.global_id(), cfg, tr);
+                let s = detect_only(aircraft, &index, ctx.global_id(), cfg, tr);
                 stats.pair_checks += s.pair_checks;
                 stats.critical_conflicts += s.critical_conflicts;
             }
@@ -186,13 +186,8 @@ impl GpuBackend {
             let lc2 = self.launch_config(m);
             self.device.launch("ResolveOnly", lc2, |ctx, tr| {
                 if ctx.in_range(m) {
-                    let s = check_collision_path_with(
-                        aircraft,
-                        &index,
-                        flagged[ctx.global_id()],
-                        cfg,
-                        tr,
-                    );
+                    let s =
+                        check_collision_path(aircraft, &index, flagged[ctx.global_id()], cfg, tr);
                     stats.rotations += s.rotations;
                     stats.resolved += s.resolved;
                     stats.unresolved += s.unresolved;
@@ -300,7 +295,7 @@ impl AtmBackend for GpuBackend {
         let mut stats = DetectStats::default();
         self.device.launch("CheckCollisionPath", lc, |ctx, tr| {
             if ctx.in_range(n) {
-                let s = check_collision_path_with(aircraft, &index, ctx.global_id(), cfg, tr);
+                let s = check_collision_path(aircraft, &index, ctx.global_id(), cfg, tr);
                 stats.absorb(&s);
             }
         });

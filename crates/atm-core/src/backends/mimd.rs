@@ -30,7 +30,7 @@ use crate::backends::{AtmBackend, BackendInfo, PlatformId, TimingKind};
 #[cfg(test)]
 use crate::batcher::conflict_window;
 use crate::config::AtmConfig;
-use crate::detect::{rotate_velocity, scan_pairs, ScanIndex};
+use crate::detect::{scan_pairs, simulate_turn, ScanIndex, TurnOutcome};
 use crate::terrain::{check_terrain, TerrainGrid, TerrainTaskConfig};
 use crate::track::any_unmatched;
 use crate::types::{
@@ -71,16 +71,6 @@ impl MimdBackend {
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }
-}
-
-/// Outcome of one aircraft's snapshot resolution, applied at commit time.
-#[derive(Clone, Copy, Debug, Default)]
-struct ResolveOutcome {
-    new_vel: Option<(f32, f32)>,
-    col: bool,
-    col_with: i32,
-    time_till: f32,
-    partner_mark: Option<(usize, f32)>,
 }
 
 impl AtmBackend for MimdBackend {
@@ -205,71 +195,45 @@ impl AtmBackend for MimdBackend {
 
     fn detect_resolve(&mut self, aircraft: &mut [Aircraft], cfg: &AtmConfig) -> SimDuration {
         let sw = Stopwatch::start();
-        let n = aircraft.len();
         let snapshot: Vec<Aircraft> = aircraft.to_vec();
-        let rotations = cfg.rotation_sequence();
         // Shared read-only across worker threads; the snapshot's positions
         // and altitudes are frozen, so one index serves every thread.
         let index = ScanIndex::for_config(&snapshot, cfg);
 
-        let mut outcomes: Vec<ResolveOutcome> = vec![ResolveOutcome::default(); n];
+        // Each thread runs Algorithm 2 against the snapshot and keeps the
+        // turn's outcome plus its last partner mark.
+        let mut outcomes = vec![(TurnOutcome::Clean, None); aircraft.len()];
         {
-            let snapshot = &snapshot;
-            let rotations = &rotations;
-            let index = &index;
+            let (snapshot, index) = (&snapshot, &index);
             self.pool.parallel_for_mut(&mut outcomes, |i, out| {
-                out.time_till = cfg.critical_periods;
-                out.col = false;
-                out.col_with = NO_COLLISION;
-                let mut vel = (snapshot[i].dx, snapshot[i].dy);
-                let mut next_rotation = 0usize;
-                let mut chk = 0u32;
-                loop {
-                    let scan = scan_pairs(snapshot, index, i, vel, cfg, &mut NullSink);
-                    let Some((partner, tmin)) = scan.critical else {
-                        break;
-                    };
-                    out.col = true;
-                    out.col_with = partner as i32;
-                    out.time_till = tmin;
-                    out.partner_mark = Some((partner, tmin));
-                    if next_rotation >= rotations.len() {
-                        return; // unresolved: keep flags and original path
-                    }
-                    let base = (snapshot[i].dx, snapshot[i].dy);
-                    vel = rotate_velocity(base, rotations[next_rotation], &mut NullSink);
-                    next_rotation += 1;
-                    chk += 1;
-                }
-                if chk > 0 {
-                    out.new_vel = Some(vel);
-                    out.col = false;
-                    out.col_with = NO_COLLISION;
-                    out.time_till = cfg.critical_periods;
-                }
+                let base = (snapshot[i].dx, snapshot[i].dy);
+                let turn = simulate_turn(base, cfg, &mut NullSink, |vel, sink| {
+                    scan_pairs(snapshot, index, i, vel, cfg, sink)
+                });
+                *out = (turn.outcome, turn.events.last().copied());
             });
         }
 
         // Commit own outcomes in parallel (disjoint)…
-        let outcomes_ro: &[ResolveOutcome] = &outcomes;
+        let outcomes_ro: &[(TurnOutcome, Option<(u32, f32)>)] = &outcomes;
         self.pool.parallel_for_mut(aircraft, |i, a| {
-            let o = &outcomes_ro[i];
-            a.time_till = o.time_till;
-            a.col = o.col;
-            a.col_with = o.col_with;
-            if let Some((vx, vy)) = o.new_vel {
-                a.dx = vx;
-                a.dy = vy;
-                a.batx = vx;
-                a.baty = vy;
-            } else {
-                a.batx = a.dx;
-                a.baty = a.dy;
-            }
+            let (col, col_with, time_till, vel) = match outcomes_ro[i].0 {
+                TurnOutcome::Clean => (false, NO_COLLISION, cfg.critical_periods, (a.dx, a.dy)),
+                TurnOutcome::Resolved { vel } => (false, NO_COLLISION, cfg.critical_periods, vel),
+                TurnOutcome::Unresolved { partner, tmin } => {
+                    (true, partner as i32, tmin, (a.dx, a.dy))
+                }
+            };
+            a.col = col;
+            a.col_with = col_with;
+            a.time_till = time_till;
+            (a.dx, a.dy) = vel;
+            (a.batx, a.baty) = vel;
         });
         // …then the short sequential partner-marking pass.
-        for o in &outcomes {
-            if let Some((p, tmin)) = o.partner_mark {
+        for &(_, mark) in &outcomes {
+            if let Some((p, tmin)) = mark {
+                let p = p as usize;
                 aircraft[p].col = true;
                 aircraft[p].time_till = aircraft[p].time_till.min(tmin);
             }

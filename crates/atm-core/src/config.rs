@@ -83,12 +83,15 @@ pub struct AtmConfig {
     /// Host-side candidate-scan strategy for Tasks 2+3 (wall-clock only;
     /// results and modeled time are identical across modes).
     pub scan: ScanMode,
-    /// Geographic shard grid side: the airfield is partitioned into
-    /// `shards × shards` equal cells, each owning the aircraft inside it
-    /// plus a halo of foreign aircraft within critical reach of its borders
-    /// (see [`crate::shard`]). `1` (the default) is the unsharded pipeline.
-    /// Like [`AtmConfig::scan`], this is a *wall-clock* knob only: every
-    /// shard count produces byte-identical fleets, stats and modeled times.
+    /// Shard grid side of the wave executor
+    /// ([`crate::shard::detect_resolve_parallel`],
+    /// [`crate::shard::detect_resolve_via_transport`] and so the process
+    /// coordinator): the airfield is partitioned into `shards × shards`
+    /// equal cells, each owning the aircraft inside it plus a halo of
+    /// foreign aircraft within critical reach of its borders. Serial
+    /// backends ignore it. `1` (the default) runs the wave executor
+    /// serially. A *wall-clock* knob only: every shard count produces
+    /// byte-identical fleets, stats and modeled times.
     pub shards: usize,
 }
 

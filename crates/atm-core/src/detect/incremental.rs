@@ -58,7 +58,6 @@
 use crate::config::AtmConfig;
 use crate::detect::kernel::{check_collision_path_scanned, scan_candidates};
 use crate::detect::stats::{DetectStats, ScanActivity, ScanResult};
-use crate::shard::ShardedIncremental;
 use crate::types::Aircraft;
 use sim_clock::{CostSink, NullSink, OpClass, ALL_OP_CLASSES, OP_CLASS_COUNT};
 use std::ops::Range;
@@ -399,7 +398,7 @@ impl IncrementalGrid {
 
     /// Build a grid for one fleet snapshot (a fresh, all-dirty update) —
     /// the stateless entry [`ScanIndex::for_config`] and the shard indexes
-    /// use.
+    /// of the wave executor use.
     ///
     /// [`ScanIndex::for_config`]: crate::detect::ScanIndex::for_config
     pub fn build(aircraft: &[Aircraft], cfg: &AtmConfig) -> IncrementalGrid {
@@ -561,8 +560,7 @@ enum DriverKind {
 }
 
 /// The persistent incremental detect engine: a dirty-cell grid plus the
-/// clean-pair replay cache, with the sharded enumerator layered on when
-/// the config shards the airfield. Backends own one and call
+/// clean-pair replay cache. Backends own one and call
 /// [`IncrementalEngine::detect_resolve`] (modeled cost paths) or
 /// [`IncrementalEngine::detect_resolve_unbooked`] (measured paths) per
 /// rescan; outputs are bit-identical to
@@ -571,7 +569,6 @@ enum DriverKind {
 #[derive(Debug, Default)]
 pub struct IncrementalEngine {
     grid: IncrementalGrid,
-    sharded: Option<ShardedIncremental>,
     cache: Vec<Option<CacheEntry>>,
     activity: ScanActivity,
     total_activity: ScanActivity,
@@ -601,8 +598,7 @@ impl IncrementalEngine {
         *self = IncrementalEngine::new();
     }
 
-    /// Bring the grid (and sharded enumerator, when configured) up to date
-    /// for this rescan; any config or driver change resets the engine.
+    /// Bring the grid up to date for this rescan; any config or driver change resets the engine.
     fn prepare(&mut self, aircraft: &[Aircraft], cfg: &AtmConfig, kind: DriverKind) {
         if self.last_cfg.as_ref() != Some(cfg) || self.driver != Some(kind) {
             self.reset();
@@ -615,21 +611,6 @@ impl IncrementalEngine {
             self.cache.clear();
         }
         self.cache.resize(aircraft.len(), None);
-        if cfg.shards > 1 {
-            self.sharded
-                .get_or_insert_with(ShardedIncremental::new)
-                .update(aircraft, cfg);
-        } else {
-            self.sharded = None;
-        }
-    }
-
-    /// Gather track `i`'s candidate superset into the reusable buffer.
-    fn gather(&mut self, aircraft: &[Aircraft], i: usize) {
-        match &self.sharded {
-            Some(sh) => sh.candidates_into(i, &aircraft[i], &mut self.cands),
-            None => self.grid.candidates_into(&aircraft[i], &mut self.cands),
-        }
     }
 
     /// Replay aircraft `i`'s cached clear scan if its neighborhood is
@@ -674,7 +655,7 @@ impl IncrementalEngine {
                 total.pair_checks += checks;
                 continue;
             }
-            self.gather(aircraft, i);
+            self.grid.candidates_into(&aircraft[i], &mut self.cands);
             let vel_before = (aircraft[i].dx.to_bits(), aircraft[i].dy.to_bits());
             let cands: &[u32] = &self.cands;
             let mut first: Option<(u64, ScanOps, bool)> = None;
@@ -752,7 +733,7 @@ impl IncrementalEngine {
                 total.pair_checks += checks;
                 continue;
             }
-            self.gather(aircraft, i);
+            self.grid.candidates_into(&aircraft[i], &mut self.cands);
             let vel_before = (aircraft[i].dx.to_bits(), aircraft[i].dy.to_bits());
             let cands: &[u32] = &self.cands;
             let mut first: Option<(u64, bool)> = None;

@@ -7,6 +7,11 @@
 //! re-checks the real f32 gates per candidate against a null sink, so the
 //! sink's totals — and therefore every backend's modeled time — are
 //! bit-identical to the naive scan's (DESIGN.md §8, §10).
+//!
+//! [`simulate_turn`] is the one definition of Algorithm 2's rotation loop
+//! and [`apply_turn`] writes its result; every resolving driver — the
+//! sequential cascade, the wave executor, a shard worker and the MIMD
+//! backend — is built from the two.
 
 use crate::batcher::{conflict_window, same_altitude_band, within_critical_reach};
 use crate::config::AtmConfig;
@@ -83,9 +88,8 @@ fn fold_window(
 /// re-checking the real gates against a null sink. Result, check count and
 /// booked totals are bit-identical across every source.
 ///
-/// Read-only; backends that cannot mutate shared state mid-scan (the
-/// threaded MIMD implementation) drive the rotation loop themselves around
-/// this function.
+/// Read-only; the threaded MIMD backend runs [`simulate_turn`] over it
+/// against a frozen snapshot.
 pub fn scan_pairs(
     aircraft: &[Aircraft],
     index: &ScanIndex,
@@ -190,24 +194,14 @@ pub fn rotate_velocity(vel: (f32, f32), angle: f32, sink: &mut impl CostSink) ->
 }
 
 /// The fused Tasks 2+3 routine for track aircraft `i` (the paper's
-/// `CheckCollisionPath` kernel body). Mutates `aircraft[i]` (trial path,
-/// committed path, collision bookkeeping) and the collision flags of the
-/// partner aircraft it conflicts with, exactly as Algorithm 2 describes.
+/// `CheckCollisionPath` kernel body) over a prebuilt [`ScanIndex`]. Mutates
+/// `aircraft[i]` (trial path, committed path, collision bookkeeping) and the
+/// collision flags of the partner aircraft it conflicts with, exactly as
+/// Algorithm 2 describes. The index stays valid across the internal
+/// rotation rescans (positions and altitudes do not change) and across all
+/// aircraft of one detect execution; every source yields identical
+/// mutations, stats and booked cost totals.
 pub fn check_collision_path(
-    aircraft: &mut [Aircraft],
-    i: usize,
-    cfg: &AtmConfig,
-    sink: &mut impl CostSink,
-) -> DetectStats {
-    check_collision_path_with(aircraft, &ScanIndex::Naive, i, cfg, sink)
-}
-
-/// [`check_collision_path`] over a prebuilt [`ScanIndex`]: identical
-/// mutations, stats and booked cost totals, fewer candidate visits. The
-/// index stays valid across the internal rotation rescans (positions and
-/// altitudes do not change) and across all aircraft of one detect
-/// execution.
-pub fn check_collision_path_with(
     aircraft: &mut [Aircraft],
     index: &ScanIndex,
     i: usize,
@@ -217,7 +211,7 @@ pub fn check_collision_path_with(
     check_collision_path_gathered(aircraft, index, i, cfg, sink, &mut Vec::new())
 }
 
-/// [`check_collision_path_with`] gathering candidates into a caller-owned
+/// [`check_collision_path`] gathering candidates into a caller-owned
 /// buffer, so a driver looping over the fleet allocates it once.
 fn check_collision_path_gathered(
     aircraft: &mut [Aircraft],
@@ -235,20 +229,20 @@ fn check_collision_path_gathered(
     // Candidates depend only on positions and altitudes, which the cascade
     // never changes: gather them once for every rotation rescan.
     let n = aircraft.len();
-    index.candidates_into(i, &aircraft[i], n, cands);
+    index.candidates_into(&aircraft[i], n, cands);
     check_collision_path_scanned(aircraft, i, cfg, sink, |ac, i, vel, sink| {
         let cands = cands.iter().map(|&p| p as usize);
         scan_candidates(ac, None, i, n, vel, cfg, cands, sink)
     })
 }
 
-/// The fused-routine driver over a caller-supplied *scanner*: the exact
-/// mutation cascade of [`check_collision_path_with`] (reset, mark, rotate,
-/// commit — every store in the same order) with the Task 2 scan abstracted
-/// out. `scan` must return what [`scan_pairs`] would for the same
-/// `(aircraft, i, vel)` — the measured backends substitute a thread-pool
-/// chunked scan or a structure-of-arrays scan here, which is what makes
-/// their outputs byte-identical to the sequential reference by
+/// The fused-routine driver over a caller-supplied *scanner*:
+/// [`simulate_turn`] against the live fleet, then [`apply_turn`] — the
+/// exact mutation cascade of [`check_collision_path`] with the Task 2 scan
+/// abstracted out. `scan` must return what [`scan_pairs`] would for the
+/// same `(aircraft, i, vel)` — the measured backends substitute a
+/// thread-pool chunked scan or a structure-of-arrays scan here, which is
+/// what makes their outputs byte-identical to the sequential reference by
 /// construction: the cascade is shared code, and the scanners are proven
 /// result-identical separately.
 pub fn check_collision_path_scanned<S, F>(
@@ -262,21 +256,81 @@ where
     S: CostSink,
     F: FnMut(&[Aircraft], usize, (f32, f32), &mut S) -> ScanResult,
 {
-    let mut stats = DetectStats::default();
+    let fleet: &[Aircraft] = aircraft;
+    let base = (fleet[i].dx, fleet[i].dy);
+    let turn = simulate_turn(base, cfg, sink, |vel, sink| scan(fleet, i, vel, sink));
+    apply_turn(aircraft, i, &turn, cfg);
+    turn.stats
+}
 
-    // Reset this aircraft's horizon bookkeeping (Algorithm 2 init).
-    aircraft[i].time_till = cfg.critical_periods;
-    aircraft[i].batx = aircraft[i].dx;
-    aircraft[i].baty = aircraft[i].dy;
+/// How one aircraft's fused Tasks 2+3 turn ended.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TurnOutcome {
+    /// No critical conflict on the committed path: only the horizon reset
+    /// is written; incoming collision marks are preserved.
+    Clean,
+    /// A conflict-free trial path was committed (`chk > 0`).
+    Resolved {
+        /// The committed trial velocity.
+        vel: (f32, f32),
+    },
+    /// The rotation sequence was exhausted: original path kept, conflict
+    /// left flagged with the last partner.
+    Unresolved {
+        /// The last critical partner (global id).
+        partner: u32,
+        /// Its conflict-start time.
+        tmin: f32,
+    },
+}
+
+/// The condensed effect of one aircraft's Algorithm 2 turn, recorded by
+/// [`simulate_turn`] and written by [`apply_turn`]: partner marks in scan
+/// order, the turn outcome, and the turn's stats. All ids are global.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Turn {
+    /// `(partner, tmin)` per critical conflict, in encounter order.
+    pub events: Vec<(u32, f32)>,
+    /// How the turn ended.
+    pub outcome: TurnOutcome,
+    /// The turn's detect stats.
+    pub stats: DetectStats,
+}
+
+/// Algorithm 2 for one aircraft with committed velocity `base`, written
+/// once: scan, mark, rotate, rescan, until a clear scan or an exhausted
+/// angle sequence. Reads the fleet only through `scan` and writes nothing;
+/// every write the turn makes is returned for [`apply_turn`]. Stores,
+/// branches, rotations and scans are booked to `sink` in the order the
+/// writes happen.
+///
+/// `scan` must return what [`scan_pairs`] would for the same
+/// `(track, vel)`. Deferring the writes to the end of the turn is exact: a
+/// scan reads only positions, altitudes and velocities
+/// ([`crate::batcher::conflict_window`]), and no turn writes those before
+/// its commit. The same property lets the wave executor run turns read-only
+/// in parallel and a shard worker run them against its imported member
+/// records.
+pub fn simulate_turn<S: CostSink>(
+    base: (f32, f32),
+    cfg: &AtmConfig,
+    sink: &mut S,
+    mut scan: impl FnMut((f32, f32), &mut S) -> ScanResult,
+) -> Turn {
+    let mut stats = DetectStats::default();
+    let mut events: Vec<(u32, f32)> = Vec::new();
+
+    // Reset the horizon bookkeeping (Algorithm 2 init): time_till, batx,
+    // baty.
     sink.store(12);
 
     let rotations = cfg.rotation_sequence();
     let mut next_rotation = 0usize;
-    let mut vel = (aircraft[i].dx, aircraft[i].dy);
+    let mut vel = base;
     let mut chk = 0u32; // course corrections attempted (paper's `chk`)
 
     loop {
-        let scan = scan(aircraft, i, vel, sink);
+        let scan = scan(vel, sink);
         stats.pair_checks += scan.checks;
 
         let Some((partner, tmin)) = scan.critical else {
@@ -285,12 +339,7 @@ where
         stats.critical_conflicts += 1;
 
         // Mark both aircraft (Algorithm 2 line 9).
-        aircraft[i].col = true;
-        aircraft[i].col_with = partner as i32;
-        aircraft[i].time_till = tmin;
-        aircraft[partner].col = true;
-        aircraft[partner].col_with = i as i32;
-        aircraft[partner].time_till = aircraft[partner].time_till.min(tmin);
+        events.push((partner as u32, tmin));
         sink.store(24);
 
         sink.branch(false);
@@ -298,54 +347,84 @@ where
             // Angle sequence exhausted: keep the original path, leave the
             // conflict flagged for altitude-based resolution.
             stats.unresolved += 1;
-            aircraft[i].batx = aircraft[i].dx;
-            aircraft[i].baty = aircraft[i].dy;
             sink.store(8);
-            return stats;
+            let outcome = TurnOutcome::Unresolved {
+                partner: partner as u32,
+                tmin,
+            };
+            return Turn {
+                events,
+                outcome,
+                stats,
+            };
         }
 
         // Task 3: rotate the *original* path by the next angle in the
-        // sequence and rescan from the top (the paper's loop reset).
-        let base = (aircraft[i].dx, aircraft[i].dy);
+        // sequence and rescan from the top (the paper's loop reset); the
+        // trial path goes to batx/baty.
         vel = rotate_velocity(base, rotations[next_rotation], sink);
         next_rotation += 1;
         chk += 1;
         stats.rotations += 1;
-        aircraft[i].batx = vel.0;
-        aircraft[i].baty = vel.1;
         sink.store(8);
     }
 
     sink.branch(false);
-    if chk > 0 {
+    let outcome = if chk > 0 {
         // Commit the collision-free trial path and clear the flags
         // (Algorithm 2 line 12).
-        aircraft[i].dx = vel.0;
-        aircraft[i].dy = vel.1;
-        aircraft[i].col = false;
-        aircraft[i].col_with = NO_COLLISION;
-        aircraft[i].time_till = cfg.critical_periods;
         sink.store(20);
         stats.resolved += 1;
+        TurnOutcome::Resolved { vel }
+    } else {
+        TurnOutcome::Clean
+    };
+    Turn {
+        events,
+        outcome,
+        stats,
     }
-    stats
+}
+
+/// Write one simulated turn into the fleet: the track's own final state,
+/// then the partner marks in encounter order — the net effect of the
+/// writes Algorithm 2 interleaves with its scans.
+pub fn apply_turn(aircraft: &mut [Aircraft], i: usize, turn: &Turn, cfg: &AtmConfig) {
+    match turn.outcome {
+        TurnOutcome::Clean => {
+            aircraft[i].time_till = cfg.critical_periods;
+            aircraft[i].batx = aircraft[i].dx;
+            aircraft[i].baty = aircraft[i].dy;
+        }
+        TurnOutcome::Resolved { vel } => {
+            aircraft[i].dx = vel.0;
+            aircraft[i].dy = vel.1;
+            aircraft[i].batx = vel.0;
+            aircraft[i].baty = vel.1;
+            aircraft[i].col = false;
+            aircraft[i].col_with = NO_COLLISION;
+            aircraft[i].time_till = cfg.critical_periods;
+        }
+        TurnOutcome::Unresolved { partner, tmin } => {
+            aircraft[i].col = true;
+            aircraft[i].col_with = partner as i32;
+            aircraft[i].time_till = tmin;
+            aircraft[i].batx = aircraft[i].dx;
+            aircraft[i].baty = aircraft[i].dy;
+        }
+    }
+    for &(p, t) in &turn.events {
+        let p = p as usize;
+        aircraft[p].col = true;
+        aircraft[p].col_with = i as i32;
+        aircraft[p].time_till = aircraft[p].time_till.min(t);
+    }
 }
 
 /// Detection without resolution (the split-kernel ablation's Task 2): one
-/// scan with the committed velocity, flag critical conflicts, change
-/// nothing else. Returns the stats of the scan.
+/// scan with the committed velocity over a prebuilt [`ScanIndex`], flag
+/// critical conflicts, change nothing else. Returns the stats of the scan.
 pub fn detect_only(
-    aircraft: &mut [Aircraft],
-    i: usize,
-    cfg: &AtmConfig,
-    sink: &mut impl CostSink,
-) -> DetectStats {
-    detect_only_with(aircraft, &ScanIndex::Naive, i, cfg, sink)
-}
-
-/// [`detect_only`] over a prebuilt [`ScanIndex`] (same contract as
-/// [`check_collision_path_with`]).
-pub fn detect_only_with(
     aircraft: &mut [Aircraft],
     index: &ScanIndex,
     i: usize,

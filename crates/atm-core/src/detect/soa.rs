@@ -257,25 +257,22 @@ mod tests {
     }
 
     #[test]
-    fn soa_candidate_scan_matches_over_every_index_kind() {
+    fn soa_candidate_scan_matches_over_the_grid_index() {
         let (ac, mut cfg) = fleet(500, 7);
         cfg.scan = crate::config::ScanMode::Grid;
-        for shards in [1usize, 4] {
-            cfg.shards = shards;
-            let index = ScanIndex::for_config(&ac, &cfg);
-            let soa = SoaFleet::from_aircraft(&ac);
-            let mut scratch = Vec::new();
-            for i in (0..ac.len()).step_by(37) {
-                let cands: Vec<u32> = index
-                    .candidates(i, &ac[i], ac.len())
-                    .map(|p| p as u32)
-                    .collect();
-                let vel = (ac[i].dx, ac[i].dy);
-                let ids = cands.iter().map(|&p| p as usize);
-                let aos = scan_candidates(&ac, None, i, ac.len(), vel, &cfg, ids, &mut NullSink);
-                let got = soa.scan_candidates(i, vel, &cfg, &cands, &mut scratch);
-                assert_eq!(got, aos, "shards={shards} i={i}");
-            }
+        let index = ScanIndex::for_config(&ac, &cfg);
+        let soa = SoaFleet::from_aircraft(&ac);
+        let mut scratch = Vec::new();
+        for i in (0..ac.len()).step_by(37) {
+            let cands: Vec<u32> = index
+                .candidates(i, &ac[i], ac.len())
+                .map(|p| p as u32)
+                .collect();
+            let vel = (ac[i].dx, ac[i].dy);
+            let ids = cands.iter().map(|&p| p as usize);
+            let aos = scan_candidates(&ac, None, i, ac.len(), vel, &cfg, ids, &mut NullSink);
+            let got = soa.scan_candidates(i, vel, &cfg, &cands, &mut scratch);
+            assert_eq!(got, aos, "i={i}");
         }
     }
 

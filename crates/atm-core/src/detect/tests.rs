@@ -24,13 +24,13 @@ fn head_on_pair() -> Vec<Aircraft> {
 #[test]
 fn head_on_pair_is_detected_and_resolved() {
     let mut ac = head_on_pair();
-    let s = check_collision_path(&mut ac, 0, &cfg(), &mut NullSink);
+    let s = check_collision_path(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     assert!(s.critical_conflicts >= 1);
     assert!(s.rotations >= 1);
     assert_eq!(s.resolved, 1);
     assert!(!ac[0].col, "flags cleared after committing a clear path");
     // The committed path really is conflict-free.
-    let s2 = detect_only(&mut ac.clone(), 0, &cfg(), &mut NullSink);
+    let s2 = detect_only(&mut ac.clone(), &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     assert_eq!(s2.critical_conflicts, 0);
 }
 
@@ -38,7 +38,7 @@ fn head_on_pair_is_detected_and_resolved() {
 fn resolution_preserves_speed() {
     let mut ac = head_on_pair();
     let speed_before = ac[0].speed();
-    check_collision_path(&mut ac, 0, &cfg(), &mut NullSink);
+    check_collision_path(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     assert!(
         (ac[0].speed() - speed_before).abs() < 1e-6,
         "rotation must not change speed"
@@ -52,7 +52,7 @@ fn distant_pair_is_left_alone() {
         Aircraft::at(100.0, 100.0).with_velocity(-0.01, 0.0),
     ];
     let before = ac.clone();
-    let s = check_collision_path(&mut ac, 0, &cfg(), &mut NullSink);
+    let s = check_collision_path(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     assert_eq!(s.critical_conflicts, 0);
     assert_eq!(s.rotations, 0);
     assert_eq!(ac[0].dx, before[0].dx);
@@ -63,7 +63,7 @@ fn distant_pair_is_left_alone() {
 fn altitude_separated_pair_is_not_a_conflict() {
     let mut ac = head_on_pair();
     ac[1].alt = ac[0].alt + 2_000.0;
-    let s = check_collision_path(&mut ac, 0, &cfg(), &mut NullSink);
+    let s = check_collision_path(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     assert_eq!(s.pair_checks, 0, "altitude gate must skip the pair");
     assert_eq!(s.critical_conflicts, 0);
 }
@@ -78,7 +78,7 @@ fn non_critical_far_future_conflict_is_not_resolved() {
         Aircraft::at(0.0, 0.0).with_velocity(0.05, 0.0),
         Aircraft::at(100.0, 0.0).with_velocity(-0.05, 0.0),
     ];
-    let s = check_collision_path(&mut ac, 0, &cfg(), &mut NullSink);
+    let s = check_collision_path(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     assert_eq!(s.critical_conflicts, 0);
     assert_eq!(s.rotations, 0);
 }
@@ -88,7 +88,7 @@ fn partner_is_flagged_during_detection() {
     let mut ac = head_on_pair();
     // Use detect_only so the flags survive (the fused routine clears
     // its own after resolving).
-    detect_only(&mut ac, 0, &cfg(), &mut NullSink);
+    detect_only(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     assert!(ac[0].col);
     assert_eq!(ac[0].col_with, 1);
     assert!(ac[0].time_till < cfg().critical_periods);
@@ -97,7 +97,7 @@ fn partner_is_flagged_during_detection() {
 #[test]
 fn fused_routine_flags_partner_while_resolving() {
     let mut ac = head_on_pair();
-    check_collision_path(&mut ac, 0, &cfg(), &mut NullSink);
+    check_collision_path(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     // Aircraft 0 resolved itself; the partner keeps the conflict mark
     // until its own turn (matching the kernel's behaviour).
     assert!(ac[1].col);
@@ -118,7 +118,7 @@ fn dense_crowd_can_be_unresolvable() {
                 .with_altitude(10_000.0)
         })
         .collect();
-    let s = check_collision_path(&mut ac, 0, &cfg(), &mut NullSink);
+    let s = check_collision_path(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut NullSink);
     assert!(s.unresolved == 1 || s.resolved == 1);
     if s.unresolved == 1 {
         // Original path kept, conflict flagged.
@@ -131,7 +131,7 @@ fn dense_crowd_can_be_unresolvable() {
 fn rotations_escalate_through_the_sequence() {
     let mut ac = head_on_pair();
     let mut counter = sim_clock::OpCounter::new();
-    let s = check_collision_path(&mut ac, 0, &cfg(), &mut counter);
+    let s = check_collision_path(&mut ac, &ScanIndex::Naive, 0, &cfg(), &mut counter);
     // Each rotation costs two SFU ops (sin+cos).
     assert_eq!(counter.count(sim_clock::OpClass::Sfu), 2 * s.rotations);
     assert!(s.rotations <= 12, "sequence is bounded at ±30°");
@@ -292,8 +292,8 @@ fn detect_only_fast_paths_match_naive() {
         let mut af = base.clone();
         let mut cn = sim_clock::OpCounter::new();
         let mut cf = sim_clock::OpCounter::new();
-        let sn = detect_only(&mut an, i, &cfg(), &mut cn);
-        let sf = detect_only_with(&mut af, &index, i, &cfg(), &mut cf);
+        let sn = detect_only(&mut an, &ScanIndex::Naive, i, &cfg(), &mut cn);
+        let sf = detect_only(&mut af, &index, i, &cfg(), &mut cf);
         assert_eq!(sn, sf);
         assert_eq!(an, af);
         assert_eq!(cn, cf);
@@ -363,57 +363,10 @@ fn scan_index_follows_the_config() {
     let for_mode = |m| ScanIndex::for_config(&ac, &AtmConfig { scan: m, ..cfg() });
     assert!(matches!(for_mode(ScanMode::Naive), ScanIndex::Naive));
     assert!(matches!(for_mode(ScanMode::Grid), ScanIndex::Grid(_)));
+    // The shard grid belongs to the wave executor: it never changes the
+    // serial candidate source.
     let sharded = ScanIndex::for_config(&ac, &AtmConfig { shards: 4, ..cfg() });
-    assert!(matches!(sharded, ScanIndex::Sharded(_)));
-}
-
-#[test]
-fn sharded_scan_matches_naive_scan_exactly() {
-    for fleet in [banded_fleet(), spread_fleet()] {
-        for scan in [ScanMode::Naive, ScanMode::Grid] {
-            let c = AtmConfig {
-                shards: 4,
-                scan,
-                ..cfg()
-            };
-            let index = ScanIndex::Sharded(crate::shard::ShardedIndex::build(&fleet, &c));
-            assert_scan_matches_naive(&fleet, &index, &c, &format!("sharded {scan:?}"));
-        }
-    }
-}
-
-#[test]
-fn sharded_detect_resolve_matches_naive_end_to_end() {
-    let run = |shards: usize, mode: ScanMode| {
-        let mut ac = banded_fleet();
-        let mut ops = sim_clock::OpCounter::new();
-        let c = AtmConfig {
-            shards,
-            scan: mode,
-            ..cfg()
-        };
-        let s = detect_resolve_all(&mut ac, &c, &mut ops);
-        (ac, s, ops)
-    };
-    let naive = run(1, ScanMode::Naive);
-    for shards in [2usize, 4] {
-        for mode in [ScanMode::Naive, ScanMode::Grid] {
-            let sharded = run(shards, mode);
-            assert_eq!(
-                naive.0, sharded.0,
-                "shards={shards} {mode:?}: mutated fleets must be identical"
-            );
-            assert_eq!(
-                naive.1, sharded.1,
-                "shards={shards} {mode:?}: DetectStats must be identical"
-            );
-            assert_eq!(
-                naive.2, sharded.2,
-                "shards={shards} {mode:?}: cost totals must be identical"
-            );
-        }
-    }
-    assert!(naive.1.critical_conflicts > 0);
+    assert!(matches!(sharded, ScanIndex::Grid(_)));
 }
 
 #[test]
@@ -424,14 +377,10 @@ fn responder_mask_mirrors_the_candidate_set() {
     let sources = [
         ScanIndex::Naive,
         ScanIndex::Grid(IncrementalGrid::build(&ac, &c)),
-        ScanIndex::Sharded(crate::shard::ShardedIndex::build(
-            &ac,
-            &AtmConfig { shards: 4, ..cfg() },
-        )),
     ];
     for index in &sources {
         for (i, track) in ac.iter().enumerate() {
-            match index.responder_mask(i, track, n) {
+            match index.responder_mask(track, n) {
                 None => assert!(
                     matches!(index, ScanIndex::Naive),
                     "only the naive source drives the full PE array"
@@ -449,21 +398,4 @@ fn responder_mask_mirrors_the_candidate_set() {
             }
         }
     }
-}
-
-#[test]
-fn owner_routing_is_trivial_for_unsharded_sources() {
-    let ac = banded_fleet();
-    let c = cfg();
-    for index in [
-        ScanIndex::Naive,
-        ScanIndex::Grid(IncrementalGrid::build(&ac, &c)),
-    ] {
-        assert_eq!(index.shard_count(), 1);
-        assert!((0..ac.len()).all(|i| index.owner_of(i) == 0));
-    }
-    let sharded = ScanIndex::for_config(&ac, &AtmConfig { shards: 4, ..cfg() });
-    assert_eq!(sharded.shard_count(), 16);
-    let s = crate::shard::ShardedIndex::build(&ac, &AtmConfig { shards: 4, ..cfg() });
-    assert!((0..ac.len()).all(|i| sharded.owner_of(i) == s.owner_of(i)));
 }

@@ -2,10 +2,9 @@
 //! sessions.
 //!
 //! [`AtmEngine`] owns the long-lived pieces of a simulation — the
-//! [`Airfield`] (sharded through `cfg.shards`, see [`crate::shard`]), the
-//! backend with its persistent [`IncrementalEngine`], the cyclic executive
-//! and its cumulative report — and exposes the two verbs a service layer
-//! needs:
+//! [`Airfield`], the backend with its persistent [`IncrementalEngine`], the
+//! cyclic executive and its cumulative report — and exposes the two verbs a
+//! service layer needs:
 //!
 //! * [`AtmEngine::apply_updates`] — ingest a batch of external
 //!   [`AircraftUpdate`]s between major cycles, atomically with the

@@ -45,13 +45,12 @@ pub mod wire;
 pub use airfield::{AircraftUpdate, Airfield, IngestReceipt};
 pub use backends::AtmBackend;
 pub use config::{AtmConfig, ScanMode};
-pub use detect::ScanIndex;
+pub use detect::{ScanIndex, TurnOutcome};
 pub use engine::{AtmEngine, CycleReport};
 pub use scenario::{fleet_hash, Scenario, ScenarioKind, ScenarioParams};
 pub use shard::{
     detect_resolve_parallel, detect_resolve_via_transport, InProcessTransport, ShardMap,
-    ShardTransport, ShardedAirfield, ShardedCycleStats, ShardedIndex, TransportError, TurnOutcome,
-    TurnRecord, WaveGroup,
+    ShardTransport, ShardedIndex, TransportError, TurnRecord, WaveGroup,
 };
 pub use sim::{AtmSimulation, SimOutcome, TerrainSchedule};
 pub use terrain::{TerrainGrid, TerrainTaskConfig};

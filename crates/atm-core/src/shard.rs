@@ -1,55 +1,50 @@
-//! Sharded airfields: geographic partitioning of the fleet with a
-//! cross-shard boundary (halo) scan and an exact parallel detect.
+//! The wave executor's shard partition: geographic partitioning of the
+//! fleet with a cross-shard boundary (halo) index and an exact parallel
+//! detect.
 //!
 //! The 256 nm × 256 nm field is cut into an S×S grid of shards
 //! ([`AtmConfig::shards`]). Each aircraft is **owned** by exactly one shard
 //! — the clamped floor cell of its position (the canonical shard-ownership
-//! rule, so every aircraft is scanned by exactly one shard and straddling
-//! pairs are examined exactly as often as in the unsharded pipeline). Each
-//! shard additionally holds a **halo**: every foreign aircraft within the
-//! critical-reach envelope of the shard's (measured) bounding box. A
-//! shard-local scan over `own ∪ halo` therefore sees every aircraft that
-//! could pass the pair gates against any of its owned aircraft
+//! rule). Each shard additionally holds a **halo**: every foreign aircraft
+//! within the critical-reach envelope of the shard's (measured) bounding
+//! box. A shard-local scan over `own ∪ halo` therefore sees every aircraft
+//! that could pass the pair gates against any of its owned aircraft
 //! ([`ShardedIndex`]); the scan itself composes with every
-//! [`crate::config::ScanMode`] by building the grid per shard.
+//! [`crate::config::ScanMode`] by building the mode's index per shard.
 //!
-//! Like the grid fast path, sharding is a **wall-clock knob
-//! only**: the sharded scan books skipped pairs in aggregate (DESIGN.md §8,
-//! §9), so fleets, [`DetectStats`], booked op totals and every backend's
-//! modeled time are bit-identical to the unsharded run — enforced by the
-//! differential tests below, `tests/properties.rs` and `tests/golden.rs`.
+//! This partition is the unit of work of [`detect_resolve_parallel`] /
+//! [`detect_resolve_via_transport`] (and so of the process coordinator),
+//! and nothing else: the serial backends enumerate from one unsharded
+//! index. Sharding is a **wall-clock knob only**: fleets, [`DetectStats`],
+//! booked op totals and every backend's modeled time are bit-identical to
+//! the unsharded run — enforced by the differential tests below,
+//! `tests/properties.rs` and `tests/golden.rs`.
 //!
-//! The wall-clock win comes from [`detect_resolve_parallel`]: an exact
-//! parallelization of the sequential Tasks 2+3 cascade. The sequential
-//! semantics are order-coupled (aircraft `i`'s scan must see the committed
-//! velocities of aircraft `j < i` and the initial velocities of `j > i`),
-//! but a turn's outcome can only depend on aircraft that pass the
-//! position/altitude pair gates — and those are static during Tasks 2+3.
-//! Building the gate-dependency DAG (edge `j → i` for `j < i` iff the pair
-//! passes both gates) and processing aircraft in topological *waves* makes
-//! every turn inside a wave a pure read of the live fleet: gate partners
-//! are never in the same wave, so lower-indexed partners are already
-//! committed and higher-indexed ones untouched, exactly as the sequential
-//! cascade would present them. Wave members are grouped by owner shard and
-//! fanned across worker threads; after each wave the resolved velocities
-//! are committed serially, and a final serial replay applies all deferred
-//! collision marks in the sequential write order — bit-for-bit.
+//! [`detect_resolve_parallel`] is an exact parallelization of the
+//! sequential Tasks 2+3 cascade. The sequential semantics are order-coupled
+//! (aircraft `i`'s scan must see the committed velocities of aircraft
+//! `j < i` and the initial velocities of `j > i`), but a turn's outcome can
+//! only depend on aircraft that pass the position/altitude pair gates — and
+//! those are static during Tasks 2+3. Building the gate-dependency DAG
+//! (edge `j → i` for `j < i` iff the pair passes both gates) and processing
+//! aircraft in topological *waves* makes every turn inside a wave a pure
+//! read of the live fleet: gate partners are never in the same wave, so
+//! lower-indexed partners are already committed and higher-indexed ones
+//! untouched, exactly as the sequential cascade would present them. Wave
+//! members are grouped by owner shard and their turns
+//! ([`crate::detect::simulate_turn`]) fanned across workers; after each
+//! wave the resolved velocities are committed serially, and a final serial
+//! replay ([`crate::detect::apply_turn`]) applies every turn's writes in
+//! the sequential order — bit-for-bit.
 
-use crate::airfield::Airfield;
 use crate::batcher::{same_altitude_band, within_critical_reach};
 use crate::config::{AtmConfig, ScanMode};
 use crate::detect::{
-    detect_resolve_all, rotate_velocity, scan_candidates, DetectStats, IncrementalGrid, ScanResult,
+    apply_turn, detect_resolve_all, scan_candidates, simulate_turn, DetectStats, IncrementalGrid,
+    Turn, TurnOutcome,
 };
-use crate::track::{
-    adopt_expected_phase, any_unmatched, apply_radar_phase, correlate_radar_pass,
-    expected_position_phase, TrackStats,
-};
-use crate::types::{
-    Aircraft, RadarReport, MATCH_MULTIPLE, MATCH_ONE, NO_COLLISION, RADAR_DISCARDED,
-    RADAR_UNMATCHED,
-};
-use sim_clock::{CostSink, NullSink, OpCounter};
+use crate::types::Aircraft;
+use sim_clock::{NullSink, OpCounter};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -92,19 +87,9 @@ impl ShardMap {
         self.axis(y) * self.side + self.axis(x)
     }
 
-    /// Cells per axis.
-    pub fn side(&self) -> usize {
-        self.side
-    }
-
     /// Total shard count (`side²`).
     pub fn shard_count(&self) -> usize {
         self.side * self.side
-    }
-
-    /// Cell width, nm.
-    pub fn cell_nm(&self) -> f32 {
-        self.cell
     }
 }
 
@@ -115,9 +100,7 @@ pub(crate) enum InnerIndex {
     /// [`ScanMode::Naive`]: every member is a candidate.
     All,
     /// [`ScanMode::Grid`] under the stateless per-execution build: a fresh
-    /// all-dirty grid over the members. Cross-rescan persistence lives in
-    /// [`crate::detect::IncrementalEngine`] / [`ShardedIncremental`], not
-    /// here.
+    /// all-dirty grid over the members.
     Grid(IncrementalGrid),
 }
 
@@ -161,8 +144,8 @@ struct ShardCell {
 
 /// The sharded candidate index: ownership map, per-aircraft owner, and one
 /// [`ShardCell`] per shard. Built once per detect execution (positions and
-/// altitudes never change during Tasks 2+3) by [`ScanIndex::for_config`]
-/// when `cfg.shards > 1`.
+/// altitudes never change during Tasks 2+3) by the wave executor, which
+/// hands each shard's member slice to whoever scans it.
 ///
 /// Correctness (superset property): a gate-passing partner `j` of an
 /// aircraft `i` owned by shard `s` satisfies `|Δx| ≤ reach ∧ |Δy| ≤ reach`;
@@ -173,7 +156,6 @@ struct ShardCell {
 /// generous halo can never change a result — only waste a visit.
 #[derive(Clone, Debug)]
 pub struct ShardedIndex {
-    map: ShardMap,
     /// Owner shard per aircraft.
     owner: Vec<u32>,
     cells: Vec<ShardCell>,
@@ -240,12 +222,7 @@ impl ShardedIndex {
             })
             .collect();
 
-        ShardedIndex { map, owner, cells }
-    }
-
-    /// The ownership map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
+        ShardedIndex { owner, cells }
     }
 
     /// Owner shard of aircraft `i`.
@@ -266,8 +243,8 @@ impl ShardedIndex {
     /// Gather the global candidate ids for track aircraft `i` (scanned by
     /// its owner shard) into `out`, cleared first: a superset of every
     /// aircraft that could pass both pair gates against `track` — callers
-    /// re-check the real f32 gates. Used by the sharded scan and by the AP
-    /// backend's candidate masks.
+    /// re-check the real f32 gates. Used by the wave leveling and the
+    /// in-process turns.
     pub fn candidates_into(&self, i: usize, track: &Aircraft, out: &mut Vec<u32>) {
         let cell = &self.cells[self.owner[i] as usize];
         cell.inner.candidates_into(track, cell.members.len(), out);
@@ -286,292 +263,16 @@ impl ShardedIndex {
     }
 }
 
-/// One shard's persistent slice under [`ShardedIncremental`]: the member
-/// list, the gathered member records of the current rescan, and an inner
-/// [`IncrementalGrid`] kept alive over those records.
-#[derive(Debug, Default)]
-struct IncShardCell {
-    /// Global aircraft ids, ascending (owned + halo).
-    members: Vec<u32>,
-    /// Member records regathered each rescan (altitude and velocity bits
-    /// can change without the position moving).
-    recs: Vec<Aircraft>,
-    /// Incremental grid over `recs`; candidate ids are *local* (positions
-    /// in `members`).
-    inner: IncrementalGrid,
-}
-
-/// The halo-export contract of [`ShardedIndex`] kept alive across rescans,
-/// for [`crate::detect::IncrementalEngine`] under `cfg.shards > 1`.
-///
-/// Ownership and the measured per-shard bounding boxes are refreshed every
-/// rescan (a departing aircraft can shrink a box, so there is no cheaper
-/// exact maintenance), but a shard's **membership** is recomputed from
-/// scratch only when its bounding-box *bits* move; while a box holds still,
-/// only aircraft whose position bits changed are re-tested against the
-/// padded box and spliced in or out. Inside each shard an
-/// [`IncrementalGrid`] moves members between cells incrementally.
-///
-/// Membership is thereby maintained as the exact pure function of the
-/// current boxes and positions that [`ShardedIndex::build`] computes, so
-/// the superset argument — and with it bit-identity of every scan output —
-/// carries over verbatim.
-#[derive(Debug, Default)]
-pub struct ShardedIncremental {
-    map: Option<ShardMap>,
-    /// Owner shard per aircraft.
-    owner: Vec<u32>,
-    /// Position bits per aircraft at last sighting.
-    pos: Vec<[u32; 2]>,
-    /// Measured bounding box per shard (`[lo_x, hi_x, lo_y, hi_y]`; `None`
-    /// for shards that own nothing, which never scan).
-    boxes: Vec<Option<[f32; 4]>>,
-    cells: Vec<IncShardCell>,
-    /// Degenerate geometry (non-finite reach or position): every shard
-    /// holds the whole fleet, the same fallback posture as
-    /// [`ShardedIndex::build`].
-    degenerate: bool,
-}
-
-impl ShardedIncremental {
-    /// An empty enumerator; the first [`ShardedIncremental::update`]
-    /// populates it.
-    pub fn new() -> ShardedIncremental {
-        ShardedIncremental::default()
-    }
-
-    /// Bring ownership, boxes, membership and the per-shard inner grids up
-    /// to date for this rescan's fleet snapshot.
-    pub fn update(&mut self, aircraft: &[Aircraft], cfg: &AtmConfig) {
-        let n = aircraft.len();
-        let map = ShardMap::new(cfg.shards, cfg.half_width);
-        let shard_count = map.shard_count();
-        let fresh = self.owner.len() != n
-            || self.map.is_none_or(|m| {
-                m.side() != map.side() || m.cell_nm().to_bits() != map.cell_nm().to_bits()
-            });
-        self.map = Some(map);
-
-        // Owners: recomputed only for aircraft whose position bits moved.
-        let mut moved: Vec<u32> = Vec::new();
-        if fresh {
-            self.owner.clear();
-            self.owner
-                .extend(aircraft.iter().map(|a| map.shard_of(a.x, a.y) as u32));
-            self.pos.clear();
-            self.pos
-                .extend(aircraft.iter().map(|a| [a.x.to_bits(), a.y.to_bits()]));
-        } else {
-            for (i, a) in aircraft.iter().enumerate() {
-                let p = [a.x.to_bits(), a.y.to_bits()];
-                if p != self.pos[i] {
-                    self.pos[i] = p;
-                    self.owner[i] = map.shard_of(a.x, a.y) as u32;
-                    moved.push(i as u32);
-                }
-            }
-        }
-
-        let reach = cfg.critical_reach_nm();
-        let finite =
-            reach.is_finite() && aircraft.iter().all(|a| a.x.is_finite() && a.y.is_finite());
-        let mut boxes: Vec<Option<[f32; 4]>> = vec![None; shard_count];
-        if finite {
-            for (i, a) in aircraft.iter().enumerate() {
-                let b = boxes[self.owner[i] as usize].get_or_insert([a.x, a.x, a.y, a.y]);
-                b[0] = b[0].min(a.x);
-                b[1] = b[1].max(a.x);
-                b[2] = b[2].min(a.y);
-                b[3] = b[3].max(a.y);
-            }
-        }
-        let was_degenerate = std::mem::replace(&mut self.degenerate, !finite);
-        let boxes_were = std::mem::replace(&mut self.boxes, boxes);
-        self.cells.truncate(shard_count);
-        self.cells.resize_with(shard_count, IncShardCell::default);
-
-        let pad = reach * 1.000_001 + 1.0;
-        let box_bits = |b: &Option<[f32; 4]>| b.map(|b| b.map(f32::to_bits));
-        for t in 0..shard_count {
-            let cell = &mut self.cells[t];
-            let box_moved =
-                box_bits(boxes_were.get(t).unwrap_or(&None)) != box_bits(&self.boxes[t]);
-            let re_export = fresh || was_degenerate != self.degenerate || box_moved;
-            if !finite {
-                if re_export {
-                    cell.members.clear();
-                    cell.members.extend(0..n as u32);
-                }
-            } else if re_export {
-                // Full halo re-export against the moved box.
-                cell.members.clear();
-                if let Some(b) = self.boxes[t] {
-                    for (j, a) in aircraft.iter().enumerate() {
-                        let ex = (b[0] - a.x).max(a.x - b[1]).max(0.0);
-                        let ey = (b[2] - a.y).max(a.y - b[3]).max(0.0);
-                        if ex <= pad && ey <= pad {
-                            cell.members.push(j as u32);
-                        }
-                    }
-                }
-            } else if let Some(b) = self.boxes[t] {
-                // Box bits unchanged: only moved aircraft can cross the
-                // membership predicate.
-                for &j in &moved {
-                    let a = &aircraft[j as usize];
-                    let ex = (b[0] - a.x).max(a.x - b[1]).max(0.0);
-                    let ey = (b[2] - a.y).max(a.y - b[3]).max(0.0);
-                    let inside = ex <= pad && ey <= pad;
-                    match (cell.members.binary_search(&j), inside) {
-                        (Ok(_), true) | (Err(_), false) => {}
-                        (Ok(at), false) => {
-                            cell.members.remove(at);
-                        }
-                        (Err(at), true) => {
-                            cell.members.insert(at, j);
-                        }
-                    }
-                }
-            }
-
-            cell.recs.clear();
-            cell.recs
-                .extend(cell.members.iter().map(|&j| aircraft[j as usize]));
-            cell.inner.update(&cell.recs, cfg);
-        }
-    }
-
-    /// Global candidate ids for track aircraft `i` (scanned by its owner
-    /// shard) gathered into a reusable buffer: the same gate-passer
-    /// superset [`ShardedIndex::candidates_into`] gathers.
-    pub fn candidates_into(&self, i: usize, track: &Aircraft, out: &mut Vec<u32>) {
-        let cell = &self.cells[self.owner[i] as usize];
-        cell.inner.candidates_into(track, out);
-        for l in out.iter_mut() {
-            *l = cell.members[*l as usize];
-        }
-    }
-}
-
-/// How one aircraft's fused Tasks 2+3 turn ended.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TurnOutcome {
-    /// No critical conflict on the committed path: only the horizon reset
-    /// is written; incoming collision marks are preserved.
-    Clean,
-    /// A conflict-free trial path was committed (`chk > 0`).
-    Resolved {
-        /// The committed trial velocity.
-        vel: (f32, f32),
-    },
-    /// The rotation sequence was exhausted: original path kept, conflict
-    /// left flagged with the last partner.
-    Unresolved {
-        /// The last critical partner (global id).
-        partner: u32,
-        /// Its conflict-start time.
-        tmin: f32,
-    },
-}
-
-/// The condensed effect of one aircraft's turn, recorded by the read-only
-/// simulation [`simulate_turn_scanned`] and applied by the coordinator's
-/// serial replay: partner marks in scan order, the turn outcome, and the
-/// turn's stats and booked op totals. All ids are global, so a record is
-/// meaningful outside the shard that produced it — the unit the wire
-/// codec's `turns` frames carry between processes.
+/// One aircraft's simulated turn plus the op totals it booked: the unit a
+/// wave worker returns and the wire codec's `turns` frames carry between
+/// processes. All ids are global, so a record is meaningful outside the
+/// shard that produced it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TurnRecord {
-    /// `(partner, tmin)` per critical conflict, in encounter order.
-    pub events: Vec<(u32, f32)>,
-    /// How the turn ended.
-    pub outcome: TurnOutcome,
-    /// The turn's detect stats.
-    pub stats: DetectStats,
+    /// Partner marks, outcome and stats ([`crate::detect::simulate_turn`]).
+    pub turn: Turn,
     /// The op totals the turn booked.
     pub ops: OpCounter,
-}
-
-/// Read-only mirror of [`crate::detect::check_collision_path_scanned`]:
-/// runs one aircraft's full rotation-loop turn with committed velocity
-/// `base` against a caller-supplied scanner, recording every write it
-/// *would* perform instead of mutating. Bookings (stores, branches, scans,
-/// rotations) follow the mutating routine call-for-call, so the merged
-/// per-turn [`OpCounter`]s total exactly what the sequential cascade books.
-///
-/// `scan` must return what [`crate::detect::scan_pairs`] would for the same
-/// `(track, vel)` — the in-process transport scans the live fleet through
-/// the sharded index, a shard-worker process scans its imported member
-/// records ([`crate::detect::scan_candidates`] over its member ids). Sound
-/// inside a wave because a turn reads only static fields (positions,
-/// altitudes) plus the velocities of its *gate passers* — and gate passers
-/// are never in the same wave.
-pub fn simulate_turn_scanned(
-    base: (f32, f32),
-    cfg: &AtmConfig,
-    mut scan: impl FnMut((f32, f32), &mut OpCounter) -> ScanResult,
-) -> TurnRecord {
-    let mut ops = OpCounter::new();
-    let mut stats = DetectStats::default();
-    let mut events: Vec<(u32, f32)> = Vec::new();
-
-    // Horizon reset (deferred write): time_till, batx, baty.
-    ops.store(12);
-
-    let rotations = cfg.rotation_sequence();
-    let mut next_rotation = 0usize;
-    let mut vel = base;
-    let mut chk = 0u32;
-
-    loop {
-        let scan = scan(vel, &mut ops);
-        stats.pair_checks += scan.checks;
-
-        let Some((partner, tmin)) = scan.critical else {
-            break;
-        };
-        stats.critical_conflicts += 1;
-
-        // Mark both aircraft (deferred).
-        events.push((partner as u32, tmin));
-        ops.store(24);
-
-        ops.branch(false);
-        if next_rotation >= rotations.len() {
-            stats.unresolved += 1;
-            ops.store(8);
-            return TurnRecord {
-                events,
-                outcome: TurnOutcome::Unresolved {
-                    partner: partner as u32,
-                    tmin,
-                },
-                stats,
-                ops,
-            };
-        }
-
-        vel = rotate_velocity(base, rotations[next_rotation], &mut ops);
-        next_rotation += 1;
-        chk += 1;
-        stats.rotations += 1;
-        ops.store(8);
-    }
-
-    ops.branch(false);
-    let outcome = if chk > 0 {
-        ops.store(20);
-        stats.resolved += 1;
-        TurnOutcome::Resolved { vel }
-    } else {
-        TurnOutcome::Clean
-    };
-    TurnRecord {
-        events,
-        outcome,
-        stats,
-        ops,
-    }
 }
 
 /// One aircraft's read-only turn against the live fleet through the sharded
@@ -584,10 +285,12 @@ fn turn_for(fleet: &[Aircraft], index: &ShardedIndex, i: usize, cfg: &AtmConfig)
     let track = &fleet[i];
     let mut cands = Vec::new();
     index.candidates_into(i, track, &mut cands);
-    simulate_turn_scanned((track.dx, track.dy), cfg, |vel, ops| {
+    let mut ops = OpCounter::new();
+    let turn = simulate_turn((track.dx, track.dy), cfg, &mut ops, |vel, ops| {
         let cands = cands.iter().map(|&p| p as usize);
         scan_candidates(fleet, None, i, fleet.len(), vel, cfg, cands, ops)
-    })
+    });
+    TurnRecord { turn, ops }
 }
 
 /// A transport-layer failure: the only error the halo-exchange seam can
@@ -844,7 +547,7 @@ pub fn detect_resolve_via_transport(
             if slot.is_some() {
                 return Err(TransportError::new(format!("aircraft {i} simulated twice")));
             }
-            if let TurnOutcome::Resolved { vel } = rec.outcome {
+            if let TurnOutcome::Resolved { vel } = rec.turn.outcome {
                 deltas.push((i, vel));
             }
             *slot = Some(rec);
@@ -861,43 +564,14 @@ pub fn detect_resolve_via_transport(
         }
     }
 
-    // Serial replay, ascending: apply each turn's condensed own writes and
-    // partner marks exactly where the sequential cascade would.
+    // Serial replay, ascending: apply each turn's writes exactly where the
+    // sequential cascade would.
     let mut total = DetectStats::default();
-    for i in 0..n {
-        let rec = records[i]
-            .take()
-            .ok_or_else(|| TransportError::new(format!("aircraft {i} was never simulated")))?;
-        match rec.outcome {
-            TurnOutcome::Clean => {
-                aircraft[i].time_till = cfg.critical_periods;
-                aircraft[i].batx = aircraft[i].dx;
-                aircraft[i].baty = aircraft[i].dy;
-            }
-            TurnOutcome::Resolved { vel } => {
-                aircraft[i].dx = vel.0;
-                aircraft[i].dy = vel.1;
-                aircraft[i].batx = vel.0;
-                aircraft[i].baty = vel.1;
-                aircraft[i].col = false;
-                aircraft[i].col_with = NO_COLLISION;
-                aircraft[i].time_till = cfg.critical_periods;
-            }
-            TurnOutcome::Unresolved { partner, tmin } => {
-                aircraft[i].col = true;
-                aircraft[i].col_with = partner as i32;
-                aircraft[i].time_till = tmin;
-                aircraft[i].batx = aircraft[i].dx;
-                aircraft[i].baty = aircraft[i].dy;
-            }
-        }
-        for &(p, t) in &rec.events {
-            let p = p as usize;
-            aircraft[p].col = true;
-            aircraft[p].col_with = i as i32;
-            aircraft[p].time_till = aircraft[p].time_till.min(t);
-        }
-        total.absorb(&rec.stats);
+    for (i, rec) in records.into_iter().enumerate() {
+        let rec =
+            rec.ok_or_else(|| TransportError::new(format!("aircraft {i} was never simulated")))?;
+        apply_turn(aircraft, i, &rec.turn, cfg);
+        total.absorb(&rec.turn.stats);
         ops.merge(&rec.ops);
     }
     transport.finish(&total, &ops)?;
@@ -927,189 +601,10 @@ pub fn detect_resolve_parallel(
         .expect("the in-process transport cannot fail")
 }
 
-/// Fan a pure per-aircraft phase over worker threads. Element-local phases
-/// (each call reads and writes only `aircraft[i]`) are order-independent,
-/// so contiguous ranges are handed to scoped threads; with one worker or a
-/// small fleet the loop runs inline.
-fn fan_aircraft_phase(
-    aircraft: &mut [Aircraft],
-    workers: usize,
-    phase: impl Fn(&mut [Aircraft], usize) + Sync,
-) {
-    let workers = workers.max(1);
-    if workers == 1 || aircraft.len() < 256 {
-        for i in 0..aircraft.len() {
-            phase(aircraft, i);
-        }
-        return;
-    }
-    let chunk = aircraft.len().div_ceil(workers);
-    let phase = &phase;
-    std::thread::scope(|s| {
-        for part in aircraft.chunks_mut(chunk) {
-            s.spawn(move || {
-                for i in 0..part.len() {
-                    phase(part, i);
-                }
-            });
-        }
-    });
-}
-
-/// Task 1 with its per-aircraft phases fanned across workers: identical
-/// results and stats to [`crate::track::track_correlate`].
-///
-/// Phases 1 (expected position) and 3a (adopt expected) are element-local
-/// and fan freely. The correlation passes (phase 2) are order-coupled — a
-/// radar's outcome depends on the match state earlier-indexed radars left
-/// behind (`MATCH_MULTIPLE` / first-hit logic), and the correlation box is
-/// ≤ 2 nm, far below any shard width — so they stay serial, exactly as the
-/// deterministic serialization defines them. Phase 3b writes through radar
-/// matches and is O(radars): serial.
-pub fn track_correlate_sharded(
-    aircraft: &mut [Aircraft],
-    radars: &mut [RadarReport],
-    cfg: &AtmConfig,
-    workers: usize,
-) -> TrackStats {
-    let mut stats = TrackStats::default();
-
-    fan_aircraft_phase(aircraft, workers, |ac, i| {
-        expected_position_phase(ac, i, &mut NullSink)
-    });
-
-    for pass in 0..cfg.track_passes {
-        if pass > 0 && !any_unmatched(radars) {
-            break;
-        }
-        stats.passes_run += 1;
-        for i in 0..radars.len() {
-            stats.box_tests += correlate_radar_pass(aircraft, radars, i, pass, cfg, &mut NullSink);
-        }
-    }
-
-    fan_aircraft_phase(aircraft, workers, |ac, i| {
-        adopt_expected_phase(ac, i, &mut NullSink)
-    });
-    for i in 0..radars.len() {
-        apply_radar_phase(aircraft, radars, i, &mut NullSink);
-    }
-
-    stats.matched = aircraft.iter().filter(|a| a.r_match == MATCH_ONE).count() as u64;
-    stats.dropped_aircraft = aircraft
-        .iter()
-        .filter(|a| a.r_match == MATCH_MULTIPLE)
-        .count() as u64;
-    stats.discarded_radars = radars
-        .iter()
-        .filter(|r| r.r_match_with == RADAR_DISCARDED)
-        .count() as u64;
-    stats.unmatched_radars = radars
-        .iter()
-        .filter(|r| r.r_match_with == RADAR_UNMATCHED)
-        .count() as u64;
-    stats
-}
-
-/// Accumulated outcome of one sharded major cycle.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardedCycleStats {
-    /// Task 1 stats summed over the cycle's periods.
-    pub track: TrackStats,
-    /// Tasks 2+3 stats of the cycle's detection period.
-    pub detect: DetectStats,
-    /// Op totals the detection booked (bit-identical to the serial run).
-    pub detect_ops: OpCounter,
-}
-
-impl Default for ShardedCycleStats {
-    fn default() -> Self {
-        ShardedCycleStats {
-            track: TrackStats::default(),
-            detect: DetectStats::default(),
-            detect_ops: OpCounter::new(),
-        }
-    }
-}
-
-/// The sharded airfield layer: one master [`Airfield`] (a single RNG
-/// stream, so radar pictures and fleets are bit-identical to the unsharded
-/// pipeline at any shard count) driven through Tasks 1–3 with the per-shard
-/// parallel paths of this module.
-pub struct ShardedAirfield {
-    field: Airfield,
-    workers: usize,
-}
-
-impl ShardedAirfield {
-    /// A fresh field of `n` aircraft under `cfg` (which fixes the shard
-    /// grid via [`AtmConfig::shards`]), run with `workers` host threads.
-    pub fn new(n: usize, cfg: AtmConfig, workers: usize) -> ShardedAirfield {
-        ShardedAirfield::from_airfield(Airfield::new(n, cfg), workers)
-    }
-
-    /// Wrap an existing airfield.
-    pub fn from_airfield(field: Airfield, workers: usize) -> ShardedAirfield {
-        ShardedAirfield {
-            field,
-            workers: workers.max(1),
-        }
-    }
-
-    /// The wrapped airfield.
-    pub fn field(&self) -> &Airfield {
-        &self.field
-    }
-
-    /// Unwrap the airfield.
-    pub fn into_field(self) -> Airfield {
-        self.field
-    }
-
-    /// Host worker threads the parallel paths fan across.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Shards in the grid (`cfg.shards²`).
-    pub fn shard_count(&self) -> usize {
-        let s = self.field.config().shards;
-        s * s
-    }
-
-    /// Run one full major cycle (the functional pipeline the backends
-    /// execute under their cost models): every period generates radar and
-    /// runs Task 1; the final period runs Tasks 2+3; each period ends with
-    /// the kinematic update. Bit-identical to the serial reference pipeline
-    /// at any `shards` / `workers` combination.
-    pub fn run_major_cycle(&mut self) -> ShardedCycleStats {
-        let cfg = self.field.config().clone();
-        let mut out = ShardedCycleStats::default();
-        for period in 0..cfg.periods_per_major {
-            let mut radars = self.field.generate_radar();
-            let t =
-                track_correlate_sharded(&mut self.field.aircraft, &mut radars, &cfg, self.workers);
-            out.track.matched += t.matched;
-            out.track.dropped_aircraft += t.dropped_aircraft;
-            out.track.discarded_radars += t.discarded_radars;
-            out.track.unmatched_radars += t.unmatched_radars;
-            out.track.box_tests += t.box_tests;
-            out.track.passes_run += t.passes_run;
-            if period == cfg.periods_per_major - 1 {
-                let (d, ops) =
-                    detect_resolve_parallel(&mut self.field.aircraft, &cfg, self.workers);
-                out.detect = d;
-                out.detect_ops = ops;
-            }
-            self.field.end_period();
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::airfield::Airfield;
     use crate::track::track_correlate;
 
     fn cfg() -> AtmConfig {
@@ -1262,25 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_track_matches_serial_track() {
-        let mut field = Airfield::with_seed(500, 77);
-        let radars = field.generate_radar();
-        let c = field.config().clone();
-
-        let mut serial_ac = field.aircraft.clone();
-        let mut serial_rd = radars.clone();
-        let s = track_correlate(&mut serial_ac, &mut serial_rd, &c, &mut NullSink);
-
-        let mut par_ac = field.aircraft.clone();
-        let mut par_rd = radars;
-        let p = track_correlate_sharded(&mut par_ac, &mut par_rd, &c, 4);
-
-        assert_eq!(serial_ac, par_ac);
-        assert_eq!(serial_rd, par_rd);
-        assert_eq!(s, p);
-    }
-
-    #[test]
     fn sharded_major_cycle_is_bit_identical_to_the_reference_pipeline() {
         let seed = 4242;
         let n = 400;
@@ -1309,50 +785,22 @@ mod tests {
                 shards,
                 ..AtmConfig::with_seed(seed)
             };
-            let mut sharded = ShardedAirfield::new(n, c, workers);
-            let out = sharded.run_major_cycle();
+            let mut field = Airfield::new(n, c.clone());
+            let (mut detect, mut ops) = (DetectStats::default(), OpCounter::new());
+            for period in 0..c.periods_per_major {
+                let mut radars = field.generate_radar();
+                track_correlate(&mut field.aircraft, &mut radars, &c, &mut NullSink);
+                if period == c.periods_per_major - 1 {
+                    (detect, ops) = detect_resolve_parallel(&mut field.aircraft, &c, workers);
+                }
+                field.end_period();
+            }
             assert_eq!(
-                ref_field.aircraft,
-                sharded.field().aircraft,
+                ref_field.aircraft, field.aircraft,
                 "shards={shards} workers={workers}"
             );
-            assert_eq!(ref_detect, out.detect, "shards={shards}");
-            assert_eq!(ref_ops, out.detect_ops, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_incremental_matches_a_fresh_build_across_rescans() {
-        let mut ac = crossing_fleet(120);
-        let c = AtmConfig {
-            shards: 3,
-            scan: ScanMode::Grid,
-            ..cfg()
-        };
-        let mut inc = ShardedIncremental::new();
-        let mut seed = 0xabcd_1234_u64;
-        let mut buf = Vec::new();
-        for cycle in 0..6 {
-            inc.update(&ac, &c);
-            let full = ShardedIndex::build(&ac, &c);
-            for (i, track) in ac.iter().enumerate() {
-                let mut a = Vec::new();
-                full.candidates_into(i, track, &mut a);
-                inc.candidates_into(i, track, &mut buf);
-                let mut b = buf.clone();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "cycle {cycle} track {i}");
-            }
-            // Drift a tenth of the fleet, including across shard borders.
-            for _ in 0..ac.len() / 10 {
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                let i = (seed % ac.len() as u64) as usize;
-                ac[i].x += ((seed >> 8) % 100) as f32 - 50.0;
-                ac[i].y += ((seed >> 16) % 100) as f32 - 50.0;
-            }
+            assert_eq!(ref_detect, detect, "shards={shards}");
+            assert_eq!(ref_ops, ops, "shards={shards}");
         }
     }
 

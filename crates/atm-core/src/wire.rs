@@ -22,10 +22,9 @@
 //! identical bits.
 
 use crate::config::{AtmConfig, ScanMode};
-use crate::detect::{scan_candidates, DetectStats};
+use crate::detect::{scan_candidates, simulate_turn, DetectStats, Turn, TurnOutcome};
 use crate::shard::{
-    simulate_turn_scanned, InnerIndex, ShardTransport, ShardedIndex, TransportError, TurnOutcome,
-    TurnRecord, WaveGroup,
+    InnerIndex, ShardTransport, ShardedIndex, TransportError, TurnRecord, WaveGroup,
 };
 use crate::types::Aircraft;
 use sim_clock::{OpCounter, SimDuration, OP_CLASS_COUNT};
@@ -287,7 +286,8 @@ fn dec_ops(d: &mut Dec) -> Result<OpCounter, TransportError> {
     Ok(o)
 }
 
-fn enc_turn(e: &mut Enc, t: &TurnRecord) -> Result<(), TransportError> {
+fn enc_turn(e: &mut Enc, rec: &TurnRecord) -> Result<(), TransportError> {
+    let t = &rec.turn;
     e.count(t.events.len())?;
     for &(p, tmin) in &t.events {
         e.u32(p);
@@ -307,7 +307,7 @@ fn enc_turn(e: &mut Enc, t: &TurnRecord) -> Result<(), TransportError> {
         }
     }
     enc_stats(e, &t.stats);
-    enc_ops(e, &t.ops);
+    enc_ops(e, &rec.ops);
     Ok(())
 }
 
@@ -328,10 +328,13 @@ fn dec_turn(d: &mut Dec) -> Result<TurnRecord, TransportError> {
         },
         other => return Err(err(format!("bad turn-outcome tag {other}"))),
     };
-    Ok(TurnRecord {
+    let turn = Turn {
         events,
         outcome,
         stats: dec_stats(d)?,
+    };
+    Ok(TurnRecord {
+        turn,
         ops: dec_ops(d)?,
     })
 }
@@ -903,7 +906,8 @@ impl WorkerState {
                 .candidates_into(&track, self.recs.len(), &mut cands);
             let (recs, members, cfg) = (&self.recs, Some(&self.members[..]), &self.cfg);
             let global_n = self.global_n as usize;
-            let rec = simulate_turn_scanned((track.dx, track.dy), cfg, |vel, ops| {
+            let mut ops = OpCounter::new();
+            let turn = simulate_turn((track.dx, track.dy), cfg, &mut ops, |vel, ops| {
                 scan_candidates(
                     recs,
                     members,
@@ -915,7 +919,8 @@ impl WorkerState {
                     ops,
                 )
             });
-            self.stats.absorb(&rec.stats);
+            let rec = TurnRecord { turn, ops };
+            self.stats.absorb(&rec.turn.stats);
             self.ops.merge(&rec.ops);
             out.push((id, rec));
         }
@@ -1074,17 +1079,19 @@ mod tests {
                 turns: vec![(
                     5,
                     TurnRecord {
-                        events: vec![(9, 3.25), (1, f32::INFINITY)],
-                        outcome: TurnOutcome::Unresolved {
-                            partner: 9,
-                            tmin: 3.25,
-                        },
-                        stats: DetectStats {
-                            pair_checks: 40,
-                            critical_conflicts: 2,
-                            rotations: 12,
-                            resolved: 0,
-                            unresolved: 1,
+                        turn: Turn {
+                            events: vec![(9, 3.25), (1, f32::INFINITY)],
+                            outcome: TurnOutcome::Unresolved {
+                                partner: 9,
+                                tmin: 3.25,
+                            },
+                            stats: DetectStats {
+                                pair_checks: 40,
+                                critical_conflicts: 2,
+                                rotations: 12,
+                                resolved: 0,
+                                unresolved: 1,
+                            },
                         },
                         ops: odd.clone(),
                     },

@@ -818,6 +818,11 @@ mod tests {
             c.send("{\"verb\":\"warp\"}").get("ok"),
             Some(&JsonValue::Bool(false))
         );
+        // A deeply nested line is a protocol error, not a stack overflow.
+        assert_eq!(
+            c.send(&"[".repeat(100_000)).get("ok"),
+            Some(&JsonValue::Bool(false))
+        );
         c.send("{\"verb\":\"shutdown\"}");
         handle.join().unwrap();
     }

@@ -10,15 +10,22 @@
 
 use crate::json::JsonValue;
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use on any input; it sits
+/// far above anything the workspace's writers emit.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Returns a message with a byte offset on error;
-/// trailing non-whitespace after the top-level value is an error.
+/// trailing non-whitespace after the top-level value, and nesting deeper
+/// than [`MAX_DEPTH`], are errors.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
@@ -27,6 +34,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -64,20 +72,29 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// Parse one value nested inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    fn nesting(&self, depth: usize) -> Result<(), String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("nesting too deep at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.nesting(depth)?;
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -87,7 +104,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -100,7 +117,8 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.nesting(depth)?;
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -114,7 +132,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -160,11 +178,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 character (the input is &str,
-                    // so boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_owned())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Advance over one UTF-8 character. `pos` only ever
+                    // steps over whole characters, so it is a boundary, and
+                    // decoding from `text` costs O(1) per character: a
+                    // long string parses in linear time.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -277,5 +299,28 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"x", "1 2", "[1] x"] {
             assert!(parse_json(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn a_line_long_string_parses_in_one_pass() {
+        // About 1 MiB, the server's request line cap, of mixed-width
+        // characters.
+        let body = "aé😀".repeat(150_000);
+        let parsed = parse_json(&format!("[\"{body}\"]"));
+        assert_eq!(parsed, Ok(JsonValue::Arr(vec![JsonValue::Str(body)])));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // A 100 KB line of '[' fails instead of recursing 100 000 levels.
+        let err = parse_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting too deep at byte"), "{err}");
+        let nest = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(parse_json(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nest("[{\"a\":", "}]", MAX_DEPTH / 2)).is_ok());
+        assert!(parse_json(&nest("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(parse_json(&nest("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
     }
 }

@@ -55,9 +55,8 @@ pub mod prelude {
     };
     pub use atm_core::{
         detect_resolve_parallel, fleet_hash, Aircraft, Airfield, AtmConfig, AtmSimulation,
-        RadarReport, ScanMode, Scenario, ScenarioKind, ScenarioParams, ShardMap, ShardedAirfield,
-        ShardedCycleStats, ShardedIndex, SimOutcome, TerrainGrid, TerrainSchedule,
-        TerrainTaskConfig,
+        RadarReport, ScanMode, Scenario, ScenarioKind, ScenarioParams, ShardMap, ShardedIndex,
+        SimOutcome, TerrainGrid, TerrainSchedule, TerrainTaskConfig,
     };
     pub use curvefit::{classify_curve, fit_poly, CurveClass};
     pub use gpu_sim::{CudaDevice, DeviceSpec, LaunchConfig};

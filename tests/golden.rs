@@ -45,17 +45,11 @@ fn assert_matches_golden(name: &str, actual: &str) {
 /// The tiny fixed sweep all figure goldens use: small enough to run in a
 /// unit-test budget, wide enough to exercise every paper platform.
 fn golden_sweep(scan: ScanMode) -> SweepConfig {
-    golden_sweep_sharded(scan, 1)
-}
-
-/// [`golden_sweep`] with an explicit shard grid side.
-fn golden_sweep_sharded(scan: ScanMode, shards: usize) -> SweepConfig {
     SweepConfig {
         ns: vec![200, 400],
         seed: 2018,
         reps: 1,
         scan,
-        shards,
     }
 }
 
@@ -152,19 +146,13 @@ fn scenario_metrics_match_golden() {
 #[test]
 fn golden_artifacts_are_scan_and_harness_invariant() {
     // The determinism contract, end to end on the golden artifacts
-    // themselves: neither the scan mode, the worker count nor the shard
-    // grid may change a byte of what the fixtures pin down.
+    // themselves: neither the scan mode nor the worker count may change a
+    // byte of what the fixtures pin down.
     let reference = fig6(&golden_sweep(ScanMode::Grid), &Harness::serial()).to_json();
     for scan in [ScanMode::Naive, ScanMode::Grid] {
         for jobs in [1, 4] {
-            for shards in [1, 4] {
-                let other =
-                    fig6(&golden_sweep_sharded(scan, shards), &Harness::new(jobs)).to_json();
-                assert_eq!(
-                    reference, other,
-                    "scan={scan:?} jobs={jobs} shards={shards}"
-                );
-            }
+            let other = fig6(&golden_sweep(scan), &Harness::new(jobs)).to_json();
+            assert_eq!(reference, other, "scan={scan:?} jobs={jobs}");
         }
     }
 }

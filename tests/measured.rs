@@ -1,21 +1,15 @@
 //! Measured-substrate determinism: the deterministic measured backends
 //! (multicore thread pool, SIMD SoA) must be *byte-identical in outputs*
-//! to the sequential reference across every scan mode and shard count —
+//! to the sequential reference across every scan mode —
 //! only their reported wall-clock time may differ. This is the
 //! outputs-only half of the CI determinism matrix: artifact bytes cannot
 //! pin wall-clock series, so the contract is enforced here instead.
 
 use atm::prelude::*;
 
-fn fresh(
-    n: usize,
-    seed: u64,
-    scan: ScanMode,
-    shards: usize,
-) -> (Vec<Aircraft>, Vec<RadarReport>, AtmConfig) {
+fn fresh(n: usize, seed: u64, scan: ScanMode) -> (Vec<Aircraft>, Vec<RadarReport>, AtmConfig) {
     let cfg = AtmConfig {
         scan,
-        shards,
         ..AtmConfig::with_seed(seed)
     };
     let mut field = Airfield::new(n, cfg);
@@ -38,20 +32,15 @@ fn measured_backends() -> Vec<(&'static str, Box<dyn AtmBackend>)> {
 
 #[test]
 fn measured_detect_matches_seq_across_scan_modes_and_shards() {
-    // The satellite property: {naive, grid} × shards {1, 4},
-    // byte-compared against the sequential reference.
+    // The satellite property: {naive, grid}, byte-compared against the
+    // sequential reference.
     for scan in [ScanMode::Naive, ScanMode::Grid] {
-        for shards in [1usize, 4] {
-            let (mut ref_ac, _, cfg) = fresh(500, 99, scan, shards);
-            SequentialBackend::new().detect_resolve(&mut ref_ac, &cfg);
-            for (name, mut backend) in measured_backends() {
-                let (mut ac, _, cfg) = fresh(500, 99, scan, shards);
-                backend.detect_resolve(&mut ac, &cfg);
-                assert_eq!(
-                    ac, ref_ac,
-                    "{name} diverged at scan={scan:?} shards={shards}"
-                );
-            }
+        let (mut ref_ac, _, cfg) = fresh(500, 99, scan);
+        SequentialBackend::new().detect_resolve(&mut ref_ac, &cfg);
+        for (name, mut backend) in measured_backends() {
+            let (mut ac, _, cfg) = fresh(500, 99, scan);
+            backend.detect_resolve(&mut ac, &cfg);
+            assert_eq!(ac, ref_ac, "{name} diverged at scan={scan:?}");
         }
     }
 }
@@ -59,10 +48,10 @@ fn measured_detect_matches_seq_across_scan_modes_and_shards() {
 #[test]
 fn measured_track_matches_seq() {
     for &(n, seed) in &[(150usize, 1u64), (700, 1234)] {
-        let (mut ref_ac, mut ref_rd, cfg) = fresh(n, seed, ScanMode::Grid, 1);
+        let (mut ref_ac, mut ref_rd, cfg) = fresh(n, seed, ScanMode::Grid);
         SequentialBackend::new().track_correlate(&mut ref_ac, &mut ref_rd, &cfg);
         for (name, mut backend) in measured_backends() {
-            let (mut ac, mut rd, cfg) = fresh(n, seed, ScanMode::Grid, 1);
+            let (mut ac, mut rd, cfg) = fresh(n, seed, ScanMode::Grid);
             backend.track_correlate(&mut ac, &mut rd, &cfg);
             assert_eq!(ac, ref_ac, "{name} aircraft diverged at n={n}");
             assert_eq!(rd, ref_rd, "{name} radar state diverged at n={n}");
@@ -75,12 +64,12 @@ fn measured_terrain_matches_seq() {
     let grid = TerrainGrid::generate(11, 128.0, 48, 10_000.0);
     let tcfg = TerrainTaskConfig::default();
     let reference = {
-        let (mut ac, _, _) = fresh(300, 55, ScanMode::Grid, 1);
+        let (mut ac, _, _) = fresh(300, 55, ScanMode::Grid);
         SequentialBackend::new().terrain_avoidance(&mut ac, &grid, &tcfg);
         ac
     };
     for (name, mut backend) in measured_backends() {
-        let (mut ac, _, _) = fresh(300, 55, ScanMode::Grid, 1);
+        let (mut ac, _, _) = fresh(300, 55, ScanMode::Grid);
         backend.terrain_avoidance(&mut ac, &grid, &tcfg);
         assert_eq!(ac, reference, "{name} terrain diverged");
     }
@@ -110,11 +99,11 @@ fn measured_roster_entries_are_byte_identical_through_instantiate() {
         .unwrap()
         .instantiate();
     let mut seq = seq;
-    let (mut ref_ac, _, cfg) = fresh(400, 7, ScanMode::Grid, 1);
+    let (mut ref_ac, _, cfg) = fresh(400, 7, ScanMode::Grid);
     seq.detect_resolve(&mut ref_ac, &cfg);
     for platform in [PlatformId::MulticoreHost, PlatformId::SimdSoaHost] {
         let mut backend = Roster::measured().get(platform).unwrap().instantiate();
-        let (mut ac, _, cfg) = fresh(400, 7, ScanMode::Grid, 1);
+        let (mut ac, _, cfg) = fresh(400, 7, ScanMode::Grid);
         backend.detect_resolve(&mut ac, &cfg);
         assert_eq!(ac, ref_ac, "{platform} diverged");
     }

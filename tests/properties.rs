@@ -7,6 +7,7 @@ use atm::prelude::*;
 use atm_core::batcher::{axis_window, conflict_window};
 use atm_core::detect::{check_collision_path, rotate_velocity};
 use atm_core::track::track_correlate;
+use atm_core::ScanIndex;
 use sim_clock::{NullSink, SimRng};
 
 const HORIZON: f32 = 2_400.0;
@@ -200,7 +201,13 @@ fn resolution_preserves_every_speed() {
         let cfg = field.config().clone();
         let speeds: Vec<f32> = field.aircraft.iter().map(|a| a.speed()).collect();
         for i in 0..n {
-            check_collision_path(&mut field.aircraft, i, &cfg, &mut NullSink);
+            check_collision_path(
+                &mut field.aircraft,
+                &ScanIndex::Naive,
+                i,
+                &cfg,
+                &mut NullSink,
+            );
         }
         for (a, s0) in field.aircraft.iter().zip(speeds) {
             assert!((a.speed() - s0).abs() < 1e-3 * (1.0 + s0), "speed changed");
@@ -218,7 +225,13 @@ fn committed_paths_have_no_critical_conflicts_left_behind() {
         let cfg = field.config().clone();
         for i in 0..n {
             let before = field.aircraft[i];
-            let s = check_collision_path(&mut field.aircraft, i, &cfg, &mut NullSink);
+            let s = check_collision_path(
+                &mut field.aircraft,
+                &ScanIndex::Naive,
+                i,
+                &cfg,
+                &mut NullSink,
+            );
             if s.resolved == 1 {
                 // The committed path differs from the original and is
                 // verified conflict-free at commit time (against the fleet
@@ -356,6 +369,8 @@ fn sharded_cfg(seed: u64, scan: ScanMode, shards: usize) -> AtmConfig {
 
 /// Run Tasks 2+3 end to end under `cfg` and return everything observable:
 /// the mutated fleet, the detection statistics, and the booked op totals.
+/// Runs the wave executor on four workers, so a shard grid (`shards > 1`)
+/// scans through real halos; `shards == 1` is the serial reference.
 fn full_detect(
     fleet: &[Aircraft],
     cfg: &AtmConfig,
@@ -364,17 +379,15 @@ fn full_detect(
     atm_core::detect::DetectStats,
     sim_clock::OpCounter,
 ) {
-    use atm_core::detect::detect_resolve_all;
     let mut aircraft = fleet.to_vec();
-    let mut ops = sim_clock::OpCounter::new();
-    let stats = detect_resolve_all(&mut aircraft, cfg, &mut ops);
+    let (stats, ops) = detect_resolve_parallel(&mut aircraft, cfg, 4);
     (aircraft, stats, ops)
 }
 
 /// Assert the conformance contract on one fleet/config: every fast path —
-/// the grid and every (shard grid × scan mode) combination — must
-/// match the unsharded naive scan in mutated fleet, stats, and booked
-/// costs, bit for bit.
+/// the grid and every (shard grid × scan mode) combination of the wave
+/// executor — must match the unsharded naive scan in mutated fleet, stats,
+/// and booked costs, bit for bit.
 fn assert_scans_agree(fleet: &[Aircraft], base: &AtmConfig, label: &str) {
     let naive = full_detect(
         fleet,
@@ -708,7 +721,6 @@ fn parallel_and_serial_sweeps_produce_identical_series() {
         seed: 21,
         reps: 2,
         scan: ScanMode::default(),
-        shards: 1,
     };
     for task in [Task::Track, Task::DetectResolve] {
         let serial = sweep_roster(&Roster::paper(), task, &cfg);
@@ -725,15 +737,13 @@ fn parallel_and_serial_sweeps_produce_identical_series() {
 /// on the enumerators instead of through a full detect run: for random
 /// fleets, every enumerator must (a) yield a candidate superset of the
 /// true gate-passing partner set for every track, and (b) drive the shared
-/// kernel to the naive scan's exact result and booked costs — across all
-/// three source kinds (naive, grid, sharded) at shard grid sides 1 and 4.
+/// kernel to the naive scan's exact result and booked costs — the naive
+/// and grid sources, unsharded and as the wave executor's 4×4 halo index.
 #[test]
 fn every_candidate_source_covers_the_gate_set_and_matches_the_naive_kernel() {
     use atm_core::batcher::{same_altitude_band, within_critical_reach};
-    use atm_core::detect::scan_pairs;
-    use atm_core::ScanIndex;
+    use atm_core::detect::{scan_candidates, scan_pairs};
     use sim_clock::OpCounter;
-    use std::collections::HashSet;
 
     let mut rng = SimRng::seed_from_u64(0xC5);
     for case in 0..8 {
@@ -743,24 +753,30 @@ fn every_candidate_source_covers_the_gate_set_and_matches_the_naive_kernel() {
         let reach = base.critical_reach_nm();
         let naive_index = ScanIndex::for_config(&fleet, &base);
 
-        for shards in [1usize, 4] {
-            for scan in [ScanMode::Naive, ScanMode::Grid] {
-                let cfg = sharded_cfg(5, scan, shards);
-                let index = ScanIndex::for_config(&fleet, &cfg);
-                let label = format!("case {case} (n={n}) scan={scan:?} shards={shards}");
+        for scan in [ScanMode::Naive, ScanMode::Grid] {
+            let cfg = sharded_cfg(5, scan, 4);
+            let index = ScanIndex::for_config(&fleet, &cfg);
+            let sharded = ShardedIndex::build(&fleet, &cfg);
 
-                for (i, track) in fleet.iter().enumerate() {
+            for (i, track) in fleet.iter().enumerate() {
+                let mut halo = Vec::new();
+                sharded.candidates_into(i, track, &mut halo);
+                let sources: [(&str, Vec<usize>); 2] = [
+                    ("unsharded", index.candidates(i, track, n).collect()),
+                    ("shards=4", halo.iter().map(|&p| p as usize).collect()),
+                ];
+                for (source, cands) in sources {
+                    let label = format!("case {case} (n={n}) scan={scan:?} {source}");
                     // (a) Superset: every partner that passes both real
                     // gates must be enumerated (self is the only allowed
                     // omission).
-                    let cands: HashSet<usize> = index.candidates(i, track, n).collect();
                     for (p, trial) in fleet.iter().enumerate() {
                         if p == i {
                             continue;
                         }
-                        let passes =
-                            same_altitude_band(track, trial, base.alt_separation_ft, &mut NullSink)
-                                && within_critical_reach(track, trial, reach, &mut NullSink);
+                        let sep = base.alt_separation_ft;
+                        let passes = same_altitude_band(track, trial, sep, &mut NullSink)
+                            && within_critical_reach(track, trial, reach, &mut NullSink);
                         if passes {
                             assert!(
                                 cands.contains(&p),
@@ -775,7 +791,8 @@ fn every_candidate_source_covers_the_gate_set_and_matches_the_naive_kernel() {
                     let mut ops_naive = OpCounter::new();
                     let mut ops_fast = OpCounter::new();
                     let r_naive = scan_pairs(&fleet, &naive_index, i, vel, &base, &mut ops_naive);
-                    let r_fast = scan_pairs(&fleet, &index, i, vel, &cfg, &mut ops_fast);
+                    let r_fast =
+                        scan_candidates(&fleet, None, i, n, vel, &cfg, cands, &mut ops_fast);
                     assert_eq!(
                         r_naive, r_fast,
                         "{label}: scan result diverged at track {i}"
@@ -807,13 +824,12 @@ fn drive_incremental<B: AtmBackend>(
     mut backend: B,
     stats: impl Fn(&B) -> atm_core::detect::DetectStats,
     fleet0: &[Aircraft],
-    shards: usize,
     cycles: usize,
     perturb: Perturb,
     label: &str,
 ) {
     use atm_core::detect::detect_resolve_all;
-    let grid = sharded_cfg(7, ScanMode::Grid, shards);
+    let grid = scan_cfg(7, ScanMode::Grid);
     let naive = scan_cfg(7, ScanMode::Naive);
     let mut fleet = fleet0.to_vec();
     let mut rng = SimRng::seed_from_u64(0xD1);
@@ -831,45 +847,40 @@ fn drive_incremental<B: AtmBackend>(
     }
 }
 
-/// [`drive_incremental`] across shard grids {1, 4} and every measured
-/// catalog backend (sequential, multicore, simd-soa), each holding its
-/// engine alive for the whole move sequence.
+/// [`drive_incremental`] across every measured catalog backend
+/// (sequential, multicore, simd-soa), each holding its engine alive for the
+/// whole move sequence.
 fn assert_incremental_tracks_full_rebuild(
     fleet0: &[Aircraft],
     cycles: usize,
     perturb: Perturb,
     what: &str,
 ) {
-    for shards in [1usize, 4] {
-        let label = |b: &str| format!("{what}: backend={b} shards={shards}");
-        drive_incremental(
-            SequentialBackend::new(),
-            |b| b.last_detect_stats().unwrap(),
-            fleet0,
-            shards,
-            cycles,
-            perturb,
-            &label("seq"),
-        );
-        drive_incremental(
-            MulticoreBackend::new(3),
-            |b| b.last_detect_stats().unwrap(),
-            fleet0,
-            shards,
-            cycles,
-            perturb,
-            &label("multicore-3"),
-        );
-        drive_incremental(
-            SimdSoaBackend::new(),
-            |b| b.last_detect_stats().unwrap(),
-            fleet0,
-            shards,
-            cycles,
-            perturb,
-            &label("simd-soa"),
-        );
-    }
+    let label = |b: &str| format!("{what}: backend={b}");
+    drive_incremental(
+        SequentialBackend::new(),
+        |b| b.last_detect_stats().unwrap(),
+        fleet0,
+        cycles,
+        perturb,
+        &label("seq"),
+    );
+    drive_incremental(
+        MulticoreBackend::new(3),
+        |b| b.last_detect_stats().unwrap(),
+        fleet0,
+        cycles,
+        perturb,
+        &label("multicore-3"),
+    );
+    drive_incremental(
+        SimdSoaBackend::new(),
+        |b| b.last_detect_stats().unwrap(),
+        fleet0,
+        cycles,
+        perturb,
+        &label("simd-soa"),
+    );
 }
 
 #[test]
