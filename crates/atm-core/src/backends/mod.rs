@@ -79,7 +79,7 @@ pub enum PlatformId {
     MimdHost,
     /// Deterministic chunked thread pool (measured).
     MulticoreHost,
-    /// Structure-of-arrays gate kernel on the host (measured).
+    /// Structure-of-arrays turn kernel on the host (measured).
     SimdSoaHost,
 }
 

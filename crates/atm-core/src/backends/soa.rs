@@ -1,12 +1,13 @@
-//! The measured structure-of-arrays backend: the `simd-soa` scan path of
+//! The measured structure-of-arrays backend: the `simd-soa` turn kernel of
 //! [`crate::detect::SoaFleet`] driven through the shared collision cascade.
 //!
 //! Tasks 2+3 are where the paper's kernels spend their time and where data
-//! layout pays: the detect hot loop runs on split x/y/alt/velocity arrays
-//! with a branch-free, lane-chunked gate pass (the lockstep idiom of
-//! SIMD-X-style kernels), over the whole fleet ([`ScanMode::Naive`]) or the
-//! persistent grid engine's candidate frontier ([`ScanMode::Grid`]). Task 1 and terrain avoidance are
-//! correlation-protocol-bound rather than gate-bound, so they run the
+//! layout pays: each aircraft's turn gates its candidates once — the whole
+//! fleet ([`ScanMode::Naive`]) or the persistent grid engine's candidate
+//! frontier ([`ScanMode::Grid`]) — into [`TurnLanes`], and every rotation
+//! rescan of the turn is one branch-free lane pass over those lanes (the
+//! lockstep idiom of SIMD-X-style kernels). Task 1 and terrain avoidance
+//! are correlation-protocol-bound rather than gate-bound, so they run the
 //! sequential reference routines — byte-identity for the whole backend is
 //! therefore by construction, with the SoA scan proven result-identical to
 //! the reference scan separately ([`crate::detect::SoaFleet`] tests).
@@ -14,7 +15,9 @@
 use crate::backends::seq::record_activity;
 use crate::backends::{AtmBackend, BackendInfo, PlatformId, TimingKind};
 use crate::config::{AtmConfig, ScanMode};
-use crate::detect::{check_collision_path_scanned, DetectStats, IncrementalEngine, SoaFleet};
+use crate::detect::{
+    check_collision_path_scanned, DetectStats, IncrementalEngine, SoaFleet, TurnLanes,
+};
 use crate::terrain::{terrain_avoidance_all, TerrainGrid, TerrainTaskConfig};
 use crate::track::{track_correlate, TrackStats};
 use crate::types::{Aircraft, RadarReport};
@@ -26,7 +29,7 @@ use telemetry::Recorder;
 ///
 /// Under [`ScanMode::Grid`] a persistent [`IncrementalEngine`] carries the
 /// dirty-cell grid and replay cache across `detect_resolve` calls; live
-/// scans run the SoA gate kernel over the engine's candidate frontier.
+/// turns gather the engine's candidate frontier into SoA lanes.
 #[derive(Debug, Default)]
 pub struct SimdSoaBackend {
     engine: IncrementalEngine,
@@ -81,21 +84,27 @@ impl AtmBackend for SimdSoaBackend {
         let sw = Stopwatch::start();
         // Scan and commit-mirror closures interleave but never run at once,
         // so the SoA mirror sits in a RefCell they share. Positions and
-        // altitudes are frozen during Tasks 2+3; only aircraft `i`'s
-        // velocity can change during its own cascade.
+        // altitudes are frozen during Tasks 2+3, and no velocity changes
+        // inside a turn: aircraft `i`'s commit is mirrored after it.
         let fleet = RefCell::new(SoaFleet::from_aircraft(aircraft));
-        let scratch = RefCell::new(Vec::new());
+        let mut lanes = TurnLanes::default();
         let mirror = |ac: &[Aircraft], i: usize| {
             fleet.borrow_mut().set_velocity(i, (ac[i].dx, ac[i].dy));
         };
         let total = if cfg.scan == ScanMode::Grid {
+            // Each aircraft gets one turn per execution and its scans are
+            // consecutive, so a new track id opens a new turn.
+            let mut turn = None;
             let total = self.engine.detect_resolve_unbooked(
                 aircraft,
                 cfg,
                 |_ac, i, vel, cands| {
-                    fleet
-                        .borrow()
-                        .scan_candidates(i, vel, cfg, cands, &mut scratch.borrow_mut())
+                    if turn != Some(i) {
+                        let cands = cands.iter().copied();
+                        fleet.borrow().gather_turn(i, cands, cfg, &mut lanes);
+                        turn = Some(i);
+                    }
+                    lanes.scan(vel, cfg)
                 },
                 mirror,
             );
@@ -105,16 +114,13 @@ impl AtmBackend for SimdSoaBackend {
             let n = aircraft.len();
             let mut total = DetectStats::default();
             for i in 0..n {
+                fleet.borrow().gather_turn(i, 0..n as u32, cfg, &mut lanes);
                 total.absorb(&check_collision_path_scanned(
                     aircraft,
                     i,
                     cfg,
                     &mut NullSink,
-                    |_ac, i, vel, _sink| {
-                        fleet
-                            .borrow()
-                            .scan_range(i, vel, cfg, 0..n, &mut scratch.borrow_mut())
-                    },
+                    |_ac, _i, vel, _sink| lanes.scan(vel, cfg),
                 ));
                 mirror(aircraft, i);
             }

@@ -21,7 +21,7 @@ use crate::types::Aircraft;
 use sim_clock::CostSink;
 
 /// Relative-velocity epsilon below which an axis is treated as parallel.
-const PARALLEL_EPS: f32 = 1e-9;
+pub(crate) const PARALLEL_EPS: f32 = 1e-9;
 
 /// The time interval (in periods, from now) during which two straight-line
 /// tracks violate separation along one axis, clipped to `[0, horizon]`.

@@ -47,5 +47,5 @@ pub use kernel::{
     detect_resolve_all, rotate_velocity, scan_candidates, scan_pairs, simulate_turn, Turn,
     TurnOutcome,
 };
-pub use soa::SoaFleet;
+pub use soa::{SoaFleet, TurnLanes};
 pub use stats::{DetectStats, ScanActivity, ScanResult};

@@ -19,7 +19,7 @@
 //! | [`backends::ApBackend`] | [`ap_sim`] associative processor (STARAN / ClearSpeed) | modeled |
 //! | [`backends::MimdBackend`] | real threads ([`multicore::MimdPool`]), racing radar claims | measured |
 //! | [`backends::MulticoreBackend`] | thread-pool chunked scan, deterministic outputs | measured |
-//! | [`backends::SimdSoaBackend`] | structure-of-arrays branch-free gate kernel | measured |
+//! | [`backends::SimdSoaBackend`] | structure-of-arrays turn kernel: gate once per turn, branch-free lane pass per rescan | measured |
 //! | [`backends::XeonModelBackend`] | analytic 16-core Xeon ([`multicore::XeonModel`]) | modeled |
 //!
 //! The task algorithms are written once as per-item routines reporting their

@@ -4,7 +4,12 @@
 //! only their reported wall-clock time may differ. This is the
 //! outputs-only half of the CI determinism matrix: artifact bytes cannot
 //! pin wall-clock series, so the contract is enforced here instead.
+//!
+//! Fleets are compared by value *and* by [`fleet_hash`]: `f32` equality
+//! treats `-0.0 == +0.0`, so only the hash over the exact bit patterns
+//! catches a signed-zero `time_till`.
 
+use atm::atm_core::{AtmEngine, CycleReport};
 use atm::prelude::*;
 
 fn fresh(n: usize, seed: u64, scan: ScanMode) -> (Vec<Aircraft>, Vec<RadarReport>, AtmConfig) {
@@ -16,6 +21,16 @@ fn fresh(n: usize, seed: u64, scan: ScanMode) -> (Vec<Aircraft>, Vec<RadarReport
     let radars = field.generate_radar();
     let cfg = field.config().clone();
     (field.aircraft, radars, cfg)
+}
+
+/// Require `got` to equal the reference fleet field by field and bit for bit.
+fn assert_same_fleet(got: &[Aircraft], want: &[Aircraft], what: &str) {
+    assert_eq!(got, want, "{what}");
+    assert_eq!(
+        fleet_hash(got),
+        fleet_hash(want),
+        "{what}: bit patterns differ"
+    );
 }
 
 /// The deterministic measured backends under test (the MIMD host backend
@@ -40,7 +55,7 @@ fn measured_detect_matches_seq_across_scan_modes_and_shards() {
         for (name, mut backend) in measured_backends() {
             let (mut ac, _, cfg) = fresh(500, 99, scan);
             backend.detect_resolve(&mut ac, &cfg);
-            assert_eq!(ac, ref_ac, "{name} diverged at scan={scan:?}");
+            assert_same_fleet(&ac, &ref_ac, &format!("{name} diverged at scan={scan:?}"));
         }
     }
 }
@@ -53,7 +68,7 @@ fn measured_track_matches_seq() {
         for (name, mut backend) in measured_backends() {
             let (mut ac, mut rd, cfg) = fresh(n, seed, ScanMode::Grid);
             backend.track_correlate(&mut ac, &mut rd, &cfg);
-            assert_eq!(ac, ref_ac, "{name} aircraft diverged at n={n}");
+            assert_same_fleet(&ac, &ref_ac, &format!("{name} aircraft diverged at n={n}"));
             assert_eq!(rd, ref_rd, "{name} radar state diverged at n={n}");
         }
     }
@@ -71,7 +86,7 @@ fn measured_terrain_matches_seq() {
     for (name, mut backend) in measured_backends() {
         let (mut ac, _, _) = fresh(300, 55, ScanMode::Grid);
         backend.terrain_avoidance(&mut ac, &grid, &tcfg);
-        assert_eq!(ac, reference, "{name} terrain diverged");
+        assert_same_fleet(&ac, &reference, &format!("{name} terrain diverged"));
     }
 }
 
@@ -86,7 +101,8 @@ fn measured_full_simulation_stays_in_lockstep_with_seq() {
     };
     let seq = run(Box::new(SequentialBackend::new()));
     for (name, backend) in measured_backends() {
-        assert_eq!(run(backend), seq, "{name} diverged over two major cycles");
+        let what = format!("{name} diverged over two major cycles");
+        assert_same_fleet(&run(backend), &seq, &what);
     }
 }
 
@@ -105,6 +121,49 @@ fn measured_roster_entries_are_byte_identical_through_instantiate() {
         let mut backend = Roster::measured().get(platform).unwrap().instantiate();
         let (mut ac, _, cfg) = fresh(400, 7, ScanMode::Grid);
         backend.detect_resolve(&mut ac, &cfg);
-        assert_eq!(ac, ref_ac, "{platform} diverged");
+        assert_same_fleet(&ac, &ref_ac, &format!("{platform} diverged"));
+    }
+}
+
+/// A cycle report with its wall-clock fields cleared: on a measured
+/// backend the task totals are host time, everything else must repeat.
+fn outputs_only(mut report: CycleReport) -> CycleReport {
+    report.task1_total = SimDuration::ZERO;
+    report.task23_total = SimDuration::ZERO;
+    report.terrain_total = SimDuration::ZERO;
+    report
+}
+
+#[test]
+fn measured_engines_match_seq_on_rotation_heavy_scenarios() {
+    // Shaped traffic where most tracks rescan after every rotation and many
+    // exhaust the angle sequence: the resolve path a random fleet barely
+    // reaches. Three major cycles through `AtmEngine`, both scan modes.
+    for slug in ["drone-swarm", "hotspot", "corridor"] {
+        let scenario = Scenario::by_slug(slug).expect("catalog scenario");
+        for scan in [ScanMode::Naive, ScanMode::Grid] {
+            let base = AtmConfig {
+                scan,
+                ..AtmConfig::with_seed(2018)
+            };
+            let run = |backend: Box<dyn AtmBackend>| {
+                let mut engine = AtmEngine::new(scenario.airfield_with(400, &base), backend);
+                let reports: Vec<CycleReport> = (0..3)
+                    .map(|_| outputs_only(engine.step_major_cycle()))
+                    .collect();
+                (reports, engine.aircraft().to_vec())
+            };
+            let (seq_reports, seq_fleet) = run(Box::new(SequentialBackend::new()));
+            assert!(
+                seq_reports.iter().all(|r| r.conflicts > 0),
+                "{slug} must keep conflicts flagged every cycle"
+            );
+            for (name, backend) in measured_backends() {
+                let (reports, fleet) = run(backend);
+                let what = format!("{name} diverged on {slug} at scan={scan:?}");
+                assert_eq!(reports, seq_reports, "{what}");
+                assert_same_fleet(&fleet, &seq_fleet, &what);
+            }
+        }
     }
 }
